@@ -10,7 +10,6 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"os"
 	"sort"
 	"strings"
 	"time"
@@ -128,7 +127,6 @@ var log *slog.Logger
 func main() {
 	exp := flag.String("experiment", "all", "table1|table5|table6|fig10|fig11|fig12|fig13|fig14|fig15|fig16|timelines|traffic|all")
 	parallel := flag.Int("parallel", 1, "worker count for sweeps and strategy searches (0 = one per CPU); results are identical at any setting")
-	jsonOut := flag.String("json-out", "", "write a machine-readable benchmark summary (selection effort and speedup vs FP32 per model) to this path and skip the experiments")
 	listen := flag.String("listen", "", "serve /metrics, /healthz, and /debug/pprof on this address while the experiments run (e.g. 127.0.0.1:9090)")
 	var logf logx.Flags
 	logf.Register(nil)
@@ -144,29 +142,6 @@ func main() {
 		}
 		defer srv.Close()
 		log.Info("observability endpoint up", "url", srv.URL)
-	}
-
-	if *jsonOut != "" {
-		start := time.Now()
-		sum, err := experiments.Summary()
-		if err != nil {
-			logx.Fatal(log, "summary failed", "err", err)
-		}
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			logx.Fatal(log, "summary write failed", "path", *jsonOut, "err", err)
-		}
-		if err := sum.WriteJSON(f); err == nil {
-			err = f.Close()
-		} else {
-			f.Close()
-		}
-		if err != nil {
-			logx.Fatal(log, "summary write failed", "path", *jsonOut, "err", err)
-		}
-		fmt.Printf("wrote benchmark summary (%d models, %v) to %s\n",
-			len(sum.Models), time.Since(start).Round(time.Millisecond), *jsonOut)
-		return
 	}
 
 	var names []string

@@ -131,9 +131,9 @@ func TestTracedSelectionMatchesUntraced(t *testing.T) {
 // what it did before instrumentation — the one task-closure allocation
 // per call it has always had, and zero allocations per probe (the
 // SetOption+Run inner loop, gated at the engine level by
-// internal/timeline's TestProbeLoopDoesNotAllocate and the benchgate
-// baseline). A traced selector may allocate here; a nil-Trace one must
-// not grow the cost by a single allocation.
+// internal/timeline's TestProbeLoopDoesNotAllocate). A traced selector
+// may allocate here; a nil-Trace one must not grow the cost by a single
+// allocation.
 func TestUntracedProbeLoopDoesNotAllocate(t *testing.T) {
 	c := cluster.NVLinkTestbed(4)
 	m := commBound()

@@ -1,7 +1,7 @@
 // Package logx is the CLIs' shared structured-logging setup: every
 // espresso command registers the same -log-level and -log-json flags,
 // builds one slog.Logger from them, and routes its stderr diagnostics
-// through it, so a request ID printed by the load harness greps the same
+// through it, so a request ID printed by espresso-serve greps the same
 // way in a terminal session and in a log aggregator.
 package logx
 

@@ -4,7 +4,7 @@
 // Go runtime profiler on /debug/pprof, and — when a flight recorder is
 // attached — the selection flight recorder on /debug/flight. Every
 // long-running command (espresso-bench, espresso-sim, espresso-verify,
-// espresso-load) mounts it behind a -listen flag, so any run can be
+// espresso-serve) mounts it behind a -listen flag, so any run can be
 // scraped and profiled while it works:
 //
 //	curl http://127.0.0.1:9090/metrics

@@ -193,7 +193,7 @@ func DecodeJobRequest(data []byte) (client.JobRequest, error) {
 }
 
 // BuildCase resolves the seeded generated case and its cost models —
-// the same construction internal/load and the differential harness use.
+// the same construction the differential harness uses.
 func BuildCase(seed uint64, g client.GenConfig) (*gen.Case, *cost.Models, error) {
 	cfg, err := genConfig(g)
 	if err != nil {

@@ -587,30 +587,33 @@ func TestAuthAndErrorContract(t *testing.T) {
 		body   string
 		status int
 		code   string
+		allow  string // exact Allow header; 405 rows only
 	}{
-		{"no token", "POST", "/v1/select", "", `{"seed":1}`, 401, client.CodeUnauthorized},
-		{"wrong token", "POST", "/v1/select", "nope", `{"seed":1}`, 401, client.CodeUnauthorized},
-		{"listing needs token too", "GET", "/v1/reports", "", "", 401, client.CodeUnauthorized},
-		{"malformed json", "POST", "/v1/select", token, `{"seed":`, 400, client.CodeBadRequest},
-		{"unknown field", "POST", "/v1/select", token, `{"sead":1}`, 400, client.CodeBadRequest},
-		{"trailing garbage", "POST", "/v1/select", token, `{"seed":1} extra`, 400, client.CodeBadRequest},
-		{"parallelism cap", "POST", "/v1/select", token, `{"seed":1,"parallelism":1000}`, 400, client.CodeBadRequest},
-		{"gen cap", "POST", "/v1/select", token, `{"seed":1,"gen":{"max_tensors":1000}}`, 400, client.CodeBadRequest},
-		{"gen inverted bounds", "POST", "/v1/select", token, `{"seed":1,"gen":{"min_tensors":5,"max_tensors":2}}`, 400, client.CodeBadRequest},
-		{"predict without strategy", "POST", "/v1/predict", token, `{"seed":1}`, 400, client.CodeBadRequest},
-		{"job without kind", "POST", "/v1/jobs", token, `{"seed":1}`, 400, client.CodeBadRequest},
-		{"job unknown kind", "POST", "/v1/jobs", token, `{"kind":"mystery"}`, 400, client.CodeBadRequest},
-		{"chaos job without plan", "POST", "/v1/jobs", token, `{"kind":"chaos"}`, 400, client.CodeBadRequest},
-		{"verify job with plan", "POST", "/v1/jobs", token, `{"kind":"verify","plan":{}}`, 400, client.CodeBadRequest},
-		{"method not allowed", "GET", "/v1/select", token, "", 405, client.CodeMethod},
-		{"delete on reports", "DELETE", "/v1/reports", token, "", 405, client.CodeMethod},
-		{"unknown endpoint", "GET", "/v1/espresso", token, "", 404, client.CodeNotFound},
-		{"unknown job", "GET", "/v1/jobs/job-999999", token, "", 404, client.CodeNotFound},
-		{"unknown report", "GET", "/v1/reports/rep-999999", token, "", 404, client.CodeNotFound},
-		{"diff with missing report", "GET", "/v1/reports/" + sel.ID + "/diff/rep-999999", token, "", 404, client.CodeNotFound},
-		{"diff with chaos report", "GET", "/v1/reports/" + sel.ID + "/diff/" + done.ReportID, token, "", 400, client.CodeBadRequest},
-		{"cancel terminal job", "DELETE", "/v1/jobs/" + js.ID, token, "", 409, client.CodeConflict},
-		{"oversize body", "POST", "/v1/select", token, `{"seed":1,"gen":{` + strings.Repeat(" ", 1<<20) + `}}`, 413, client.CodeTooLarge},
+		{"no token", "POST", "/v1/select", "", `{"seed":1}`, 401, client.CodeUnauthorized, ""},
+		{"wrong token", "POST", "/v1/select", "nope", `{"seed":1}`, 401, client.CodeUnauthorized, ""},
+		{"listing needs token too", "GET", "/v1/reports", "", "", 401, client.CodeUnauthorized, ""},
+		{"malformed json", "POST", "/v1/select", token, `{"seed":`, 400, client.CodeBadRequest, ""},
+		{"unknown field", "POST", "/v1/select", token, `{"sead":1}`, 400, client.CodeBadRequest, ""},
+		{"trailing garbage", "POST", "/v1/select", token, `{"seed":1} extra`, 400, client.CodeBadRequest, ""},
+		{"parallelism cap", "POST", "/v1/select", token, `{"seed":1,"parallelism":1000}`, 400, client.CodeBadRequest, ""},
+		{"gen cap", "POST", "/v1/select", token, `{"seed":1,"gen":{"max_tensors":1000}}`, 400, client.CodeBadRequest, ""},
+		{"gen inverted bounds", "POST", "/v1/select", token, `{"seed":1,"gen":{"min_tensors":5,"max_tensors":2}}`, 400, client.CodeBadRequest, ""},
+		{"predict without strategy", "POST", "/v1/predict", token, `{"seed":1}`, 400, client.CodeBadRequest, ""},
+		{"job without kind", "POST", "/v1/jobs", token, `{"seed":1}`, 400, client.CodeBadRequest, ""},
+		{"job unknown kind", "POST", "/v1/jobs", token, `{"kind":"mystery"}`, 400, client.CodeBadRequest, ""},
+		{"chaos job without plan", "POST", "/v1/jobs", token, `{"kind":"chaos"}`, 400, client.CodeBadRequest, ""},
+		{"verify job with plan", "POST", "/v1/jobs", token, `{"kind":"verify","plan":{}}`, 400, client.CodeBadRequest, ""},
+		{"method not allowed", "GET", "/v1/select", token, "", 405, client.CodeMethod, "POST"},
+		{"delete on reports", "DELETE", "/v1/reports", token, "", 405, client.CodeMethod, "GET"},
+		{"put on jobs", "PUT", "/v1/jobs", token, "", 405, client.CodeMethod, "GET, POST"},
+		{"post on job", "POST", "/v1/jobs/" + js.ID, token, "", 405, client.CodeMethod, "DELETE, GET"},
+		{"unknown endpoint", "GET", "/v1/espresso", token, "", 404, client.CodeNotFound, ""},
+		{"unknown job", "GET", "/v1/jobs/job-999999", token, "", 404, client.CodeNotFound, ""},
+		{"unknown report", "GET", "/v1/reports/rep-999999", token, "", 404, client.CodeNotFound, ""},
+		{"diff with missing report", "GET", "/v1/reports/" + sel.ID + "/diff/rep-999999", token, "", 404, client.CodeNotFound, ""},
+		{"diff with chaos report", "GET", "/v1/reports/" + sel.ID + "/diff/" + done.ReportID, token, "", 400, client.CodeBadRequest, ""},
+		{"cancel terminal job", "DELETE", "/v1/jobs/" + js.ID, token, "", 409, client.CodeConflict, ""},
+		{"oversize body", "POST", "/v1/select", token, `{"seed":1,"gen":{` + strings.Repeat(" ", 1<<20) + `}}`, 413, client.CodeTooLarge, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -651,8 +654,8 @@ func TestAuthAndErrorContract(t *testing.T) {
 			if got := resp.Header.Get("X-Request-ID"); got != "trace-me-"+tc.name {
 				t.Errorf("X-Request-ID response header = %q", got)
 			}
-			if tc.status == 405 && resp.Header.Get("Allow") == "" {
-				t.Error("405 without an Allow header")
+			if got := resp.Header.Get("Allow"); got != tc.allow {
+				t.Errorf("Allow header = %q, want %q", got, tc.allow)
 			}
 		})
 	}

@@ -9,6 +9,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -173,6 +174,7 @@ func (s *Server) route(tag string, methods map[string]http.HandlerFunc) http.Han
 				for m := range methods {
 					allowed = append(allowed, m)
 				}
+				sort.Strings(allowed)
 				sw.Header().Set("Allow", strings.Join(allowed, ", "))
 				s.writeError(sw, r, http.StatusMethodNotAllowed, client.CodeMethod, "method %s not allowed on %s", r.Method, r.URL.Path)
 			} else {

@@ -309,42 +309,6 @@ func (s *Store) Jobs() []Job {
 	return out
 }
 
-// PutReport allocates the next report ID and persists the body. The
-// caller receives the ID to embed in the body it is about to build; see
-// NextReportID for the two-phase variant the API handlers use.
-func (s *Store) PutReport(kind string, seed uint64, body json.RawMessage) (Report, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return Report{}, ErrClosed
-	}
-	s.nextRep++
-	r := Report{
-		ID:   fmt.Sprintf("rep-%06d", s.nextRep),
-		Kind: kind,
-		Seed: seed,
-		Body: append(json.RawMessage(nil), body...),
-		Seq:  s.nextRep,
-	}
-	if err := s.wal.append(record{Report: &r}); err != nil {
-		s.nextRep--
-		return Report{}, err
-	}
-	s.reports[r.ID] = r
-	return r, nil
-}
-
-// NextReportID previews the ID PutReport will assign next, so a handler
-// can embed the ID inside the body it persists. The preview is only
-// stable while the caller is the sole writer of reports (the API
-// handlers serialize report writes per request; concurrent requests each
-// reserve with ReserveReportID instead).
-func (s *Store) NextReportID() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return fmt.Sprintf("rep-%06d", s.nextRep+1)
-}
-
 // ReserveReportID atomically allocates a report ID without writing a
 // row; the caller follows up with PutReportWithID. The reservation is
 // persisted via the counter record so a crash cannot reissue the ID.

@@ -30,12 +30,16 @@ func TestJobLifecyclePersists(t *testing.T) {
 	if j.ID != "job-000001" || j.State != JobQueued {
 		t.Fatalf("unexpected created job: %+v", j)
 	}
-	rep, err := s.PutReport("chaos", 7, json.RawMessage(`{"x":1}`))
-	if err != nil {
-		t.Fatalf("PutReport: %v", err)
+	id, err := s.ReserveReportID()
+	if err != nil || id != "rep-000001" {
+		t.Fatalf("ReserveReportID = %q, %v", id, err)
 	}
-	if rep.ID != "rep-000001" {
-		t.Fatalf("unexpected report ID %q", rep.ID)
+	rep, err := s.PutReportWithID(id, "chaos", 7, json.RawMessage(`{"x":1}`))
+	if err != nil {
+		t.Fatalf("PutReportWithID: %v", err)
+	}
+	if rep.ID != id || rep.Seq != 1 {
+		t.Fatalf("unexpected report row %+v", rep)
 	}
 	if err := s.SetJobState(j.ID, JobSucceeded, "", rep.ID); err != nil {
 		t.Fatalf("SetJobState: %v", err)
@@ -74,6 +78,11 @@ func TestCrashRecoveryMarksRunningJobsFailed(t *testing.T) {
 	if err := s.SetJobState(j3.ID, JobCanceled, "by operator", ""); err != nil {
 		t.Fatal(err)
 	}
+	// An ID reserved but never written must not be reissued after the
+	// crash: the reservation lives only in the WAL's counter record.
+	if id, err := s.ReserveReportID(); err != nil || id != "rep-000001" {
+		t.Fatalf("ReserveReportID = %q, %v", id, err)
+	}
 	if err := s.Abandon(); err != nil {
 		t.Fatalf("Abandon: %v", err)
 	}
@@ -92,6 +101,9 @@ func TestCrashRecoveryMarksRunningJobsFailed(t *testing.T) {
 	}
 	if j, _ := s2.Job(j3.ID); j.State != JobCanceled || j.Error != "by operator" {
 		t.Fatalf("terminal job perturbed by recovery: %+v", j)
+	}
+	if id, err := s2.ReserveReportID(); err != nil || id != "rep-000002" {
+		t.Fatalf("ReserveReportID after crash = %q, %v, want rep-000002", id, err)
 	}
 
 	// Recovery itself must be durable: a third open sees no
@@ -176,7 +188,13 @@ func TestCheckpointCompactsWAL(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.CreateJob("chaos", json.RawMessage(`{}`))
 	}
-	s.PutReport("select", 3, json.RawMessage(`{"r":true}`))
+	id, err := s.ReserveReportID()
+	if err != nil {
+		t.Fatalf("ReserveReportID: %v", err)
+	}
+	if _, err := s.PutReportWithID(id, "select", 3, json.RawMessage(`{"r":true}`)); err != nil {
+		t.Fatalf("PutReportWithID: %v", err)
+	}
 	if err := s.Checkpoint(); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
@@ -309,7 +327,10 @@ func TestClosedStoreRejectsMutations(t *testing.T) {
 	if _, err := s.CreateJob("chaos", nil); err != ErrClosed {
 		t.Fatalf("CreateJob on closed store: %v", err)
 	}
-	if _, err := s.PutReport("select", 1, nil); err != ErrClosed {
-		t.Fatalf("PutReport on closed store: %v", err)
+	if _, err := s.ReserveReportID(); err != ErrClosed {
+		t.Fatalf("ReserveReportID on closed store: %v", err)
+	}
+	if _, err := s.PutReportWithID("rep-000001", "select", 1, nil); err != ErrClosed {
+		t.Fatalf("PutReportWithID on closed store: %v", err)
 	}
 }

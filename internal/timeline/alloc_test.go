@@ -202,8 +202,7 @@ func TestClonePrepareDoesNotAliasOriginal(t *testing.T) {
 }
 
 // BenchmarkProbeLoop measures the selection hot path — SetOption + Run
-// with RecordOps off — and is gated by espresso-benchgate: its baseline
-// records 0 allocs/op, so any allocation on this path fails CI.
+// with RecordOps off. TestProbeLoopDoesNotAllocate pins its 0 allocs/op.
 func BenchmarkProbeLoop(b *testing.B) {
 	e, _, plain, compressed := hotLoopEngine(b)
 	for _, opt := range []strategy.Option{compressed, plain} {

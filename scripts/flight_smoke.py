@@ -1,11 +1,12 @@
 """CI drill-down for the flight recorder's HTTP surface.
 
-Run against a live espresso-load -trace -listen process. Fetches the
-/debug/flight listing, saves it, then drills into one retained record as
-JSON and as a Chrome trace. Records rotate through the recent ring
-quickly under load, so list+fetch retries to outrun eviction.
+Run against a live espresso-serve -trace process that has served some
+/v1/select requests. Fetches the /debug/flight listing, saves it, then
+drills into one retained record as JSON and as a Chrome trace. Records
+rotate through the recent ring quickly under load, so list+fetch retries
+to outrun eviction.
 
-Usage: python3 scripts/flight_smoke.py http://127.0.0.1:9090 artifacts/flight-live.json
+Usage: python3 scripts/flight_smoke.py http://127.0.0.1:8080 artifacts/flight-live.json
 """
 
 import json
@@ -13,7 +14,7 @@ import sys
 import urllib.error
 import urllib.request
 
-base = sys.argv[1] if len(sys.argv) > 1 else "http://127.0.0.1:9090"
+base = sys.argv[1] if len(sys.argv) > 1 else "http://127.0.0.1:8080"
 out = sys.argv[2] if len(sys.argv) > 2 else "artifacts/flight-live.json"
 
 

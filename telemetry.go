@@ -63,7 +63,7 @@ func SelectTraced(job Job, tel *Telemetry) (*Strategy, *Report, error) {
 		return Select(job)
 	}
 	// Wall clock, not virtual time: api.* series observe the process's
-	// own performance, the quantity espresso-load drives.
+	// own performance.
 	defer tel.metrics.Timer("api.select.wall_seconds")()
 	r, err := job.resolve()
 	if err != nil {
