@@ -61,23 +61,14 @@ func ReduceScatter(data [][]float32) ([]int, error) {
 	bounds := compress.ShardBounds(n, nodes)
 	// Step s: node i sends chunk (i-1-s) to node i+1, which
 	// accumulates; after n-1 steps node i owns chunk i fully reduced.
+	// The sends of a step are simultaneous, and need no snapshot: the
+	// chunk node i+1 receives into is not the chunk (i-s) it sends.
 	for s := 0; s < nodes-1; s++ {
-		// Simultaneous sends: snapshot the outgoing chunks first.
-		type msg struct {
-			to, chunk int
-			vals      []float32
-		}
-		msgs := make([]msg, 0, nodes)
 		for i := 0; i < nodes; i++ {
 			chunk := ((i-1-s)%nodes + nodes) % nodes
 			lo, hi := bounds[chunk], bounds[chunk+1]
-			vals := append([]float32(nil), data[i][lo:hi]...)
-			msgs = append(msgs, msg{to: (i + 1) % nodes, chunk: chunk, vals: vals})
-		}
-		for _, m := range msgs {
-			lo := bounds[m.chunk]
-			dst := data[m.to][lo : lo+len(m.vals)]
-			for j, v := range m.vals {
+			dst := data[(i+1)%nodes][lo:hi]
+			for j, v := range data[i][lo:hi] {
 				dst[j] += v
 			}
 		}
@@ -96,22 +87,13 @@ func AllgatherShards(data [][]float32, bounds []int) error {
 	if len(bounds) != nodes+1 {
 		return fmt.Errorf("collective: %d bounds for %d nodes", len(bounds), nodes)
 	}
-	// Step s: node i forwards chunk (i-s) to node i+1.
+	// Step s: node i forwards chunk (i-s) to node i+1, which this step
+	// sends chunk (i+1-s): again disjoint, so the copy is direct.
 	for s := 0; s < nodes-1; s++ {
-		type msg struct {
-			to, chunk int
-			vals      []float32
-		}
-		msgs := make([]msg, 0, nodes)
 		for i := 0; i < nodes; i++ {
 			chunk := ((i-s)%nodes + nodes) % nodes
 			lo, hi := bounds[chunk], bounds[chunk+1]
-			vals := append([]float32(nil), data[i][lo:hi]...)
-			msgs = append(msgs, msg{to: (i + 1) % nodes, chunk: chunk, vals: vals})
-		}
-		for _, m := range msgs {
-			lo := bounds[m.chunk]
-			copy(data[m.to][lo:lo+len(m.vals)], m.vals)
+			copy(data[(i+1)%nodes][lo:hi], data[i][lo:hi])
 		}
 	}
 	return nil

@@ -3,7 +3,7 @@ package compress
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // --- FP32 passthrough ---
@@ -17,7 +17,7 @@ func (c fp32) Compress(x []float32, seed uint64) *Payload {
 }
 
 func (c fp32) CompressInto(dst *Payload, x []float32, _ uint64) *Payload {
-	vals := f32Buf(dst.Values, len(x))
+	vals := scratchBuf(dst.Values, len(x))
 	copy(vals, x)
 	*dst = Payload{Algo: FP32, N: len(x), Values: vals}
 	return dst
@@ -47,21 +47,12 @@ func (c randomK) Compress(x []float32, seed uint64) *Payload {
 
 func (c randomK) CompressInto(dst *Payload, x []float32, seed uint64) *Payload {
 	n := len(x)
-	if n == 0 {
-		*dst = Payload{Algo: RandomK}
-		return dst
-	}
 	k := keepCount(c.spec.Ratio, n)
 	rng := splitmix64(seed)
 	sc := kernelPool.Get().(*kernelScratch)
-	idx := floydSample(&rng, n, k, sc.resetSet(k), i32Buf(dst.Indices, k))
+	idx := floydSample(&rng, n, k, sc.resetSet(k), scratchBuf(dst.Indices, k))
 	kernelPool.Put(sc)
-	vals := f32Buf(dst.Values, k)
-	for i, j := range idx {
-		vals[i] = x[j]
-	}
-	*dst = Payload{Algo: RandomK, N: n, Indices: idx, Values: vals}
-	return dst
+	return gather(dst, RandomK, x, idx)
 }
 
 func (c randomK) Decompress(p *Payload, out []float32) error {
@@ -87,142 +78,28 @@ func floydSample(rng *splitmix64, n, k int, chosen map[int32]struct{}, idx []int
 	for i := range chosen {
 		idx = append(idx, i)
 	}
-	sort.Slice(idx, func(a, b int) bool { return idx[a] < idx[b] })
+	slices.Sort(idx)
 	return idx
 }
 
-// --- DGC (sampled-threshold top-k) sparsification ---
-
-type dgc struct{ spec Spec }
-
-func (c dgc) Spec() Spec { return c.spec }
-
-// Compress selects approximately ratio*n largest-magnitude elements using
-// DGC's sampled-threshold procedure: estimate the magnitude threshold from
-// a random sample, select everything above it, then trim or backfill to
-// exactly k so the wire size stays deterministic (a requirement of §4.3).
-func (c dgc) Compress(x []float32, seed uint64) *Payload {
-	return c.CompressInto(new(Payload), x, seed)
-}
-
-func (c dgc) CompressInto(dst *Payload, x []float32, seed uint64) *Payload {
-	n := len(x)
-	if n == 0 {
-		*dst = Payload{Algo: DGC}
-		return dst
-	}
-	k := keepCount(c.spec.Ratio, n)
-	rng := splitmix64(seed)
-	sc := kernelPool.Get().(*kernelScratch)
-	defer kernelPool.Put(sc)
-
-	// Sample max(1%, 4k-capped) of the tensor to estimate the
-	// threshold, as the DGC reference implementation does.
-	sampleN := dgcSampleSize(n)
-	sample := f32Buf(sc.sample, sampleN)
-	sc.sample = sample
-	for i := range sample {
-		v := x[rng.intn(n)]
-		if v < 0 {
-			v = -v
-		}
-		sample[i] = v
-	}
-	// Threshold at the magnitude whose sample rank matches ratio.
-	rank := int(float64(sampleN) * (1 - c.spec.Ratio))
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= sampleN {
-		rank = sampleN - 1
-	}
-	sort.Slice(sample, func(a, b int) bool { return sample[a] < sample[b] })
-	thresh := sample[rank]
-
-	idx := i32Buf(dst.Indices, k)[:0]
-	for i, v := range x {
-		if v < 0 {
-			v = -v
-		}
-		if v >= thresh {
-			idx = append(idx, int32(i))
-		}
-	}
-	idx = fitToK(x, idx, k, sc)
-	vals := f32Buf(dst.Values, k)
+// gather fills dst with the sparse payload carrying x's elements at idx
+// (ascending), reusing dst's value storage.
+func gather(dst *Payload, algo ID, x []float32, idx []int32) *Payload {
+	vals := scratchBuf(dst.Values, len(idx))
 	for i, j := range idx {
 		vals[i] = x[j]
 	}
-	*dst = Payload{Algo: DGC, N: n, Indices: idx, Values: vals}
+	*dst = Payload{Algo: algo, N: len(x), Indices: idx, Values: vals}
 	return dst
 }
 
-func (c dgc) Decompress(p *Payload, out []float32) error {
-	return scatter(p, out, DGC)
-}
+// --- TopK and DGC: exact largest-magnitude sparsification ---
 
-// dgcSampleSize is DGC's threshold-estimation budget: 1% of the tensor,
-// floored at 64 samples and capped at 4096 (the reference
-// implementation's cap — without it, large tensors pay O(n/100)
-// sampling), clamped to the tensor size.
-func dgcSampleSize(n int) int {
-	s := n / 100
-	if s < 64 {
-		s = 64
-	}
-	if s > 4096 {
-		s = 4096
-	}
-	if s > n {
-		s = n
-	}
-	return s
-}
-
-func (c dgc) WireBytes(n int) int {
-	return sparseWireBytes(keepCount(c.spec.Ratio, n))
-}
-
-// fitToK trims the selection to the k largest magnitudes if it overshot,
-// or backfills with the largest remaining magnitudes if it undershot,
-// returning exactly k sorted indices. sc supplies the membership and
-// ordering scratch.
-func fitToK(x []float32, idx []int32, k int, sc *kernelScratch) []int32 {
-	if len(idx) > k {
-		sort.Slice(idx, func(a, b int) bool {
-			return mag(x[idx[a]]) > mag(x[idx[b]])
-		})
-		idx = idx[:k]
-	} else if len(idx) < k {
-		selected := sc.resetSet(len(idx))
-		for _, i := range idx {
-			selected[i] = struct{}{}
-		}
-		rest := sc.order[:0]
-		for i := range x {
-			if _, ok := selected[int32(i)]; !ok {
-				rest = append(rest, int32(i))
-			}
-		}
-		sc.order = rest
-		sort.Slice(rest, func(a, b int) bool {
-			return mag(x[rest[a]]) > mag(x[rest[b]])
-		})
-		idx = append(idx, rest[:k-len(idx)]...)
-	}
-	sort.Slice(idx, func(a, b int) bool { return idx[a] < idx[b] })
-	return idx
-}
-
-func mag(v float32) float32 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
-// --- exact TopK sparsification (extension) ---
-
+// topK keeps the k largest-magnitude elements, and so does DGC (Lin et
+// al.): trimming a sampled threshold's overshoot to the k largest and
+// backfilling its undershoot with the largest remaining is exact top-k.
+// The seeded sample only pre-filters what selectTopK has to rank, so the
+// two algorithms are one type and differ in ID and in whether they sample.
 type topK struct{ spec Spec }
 
 func (c topK) Spec() Spec { return c.spec }
@@ -231,39 +108,52 @@ func (c topK) Compress(x []float32, seed uint64) *Payload {
 	return c.CompressInto(new(Payload), x, seed)
 }
 
-func (c topK) CompressInto(dst *Payload, x []float32, _ uint64) *Payload {
+func (c topK) CompressInto(dst *Payload, x []float32, seed uint64) *Payload {
 	n := len(x)
-	if n == 0 {
-		*dst = Payload{Algo: TopK}
-		return dst
-	}
 	k := keepCount(c.spec.Ratio, n)
-	sc := kernelPool.Get().(*kernelScratch)
-	perm := i32Buf(sc.order, n)
-	sc.order = perm
-	for i := range perm {
-		perm[i] = int32(i)
+	idx := scratchBuf(dst.Indices, k)
+	if n > 0 {
+		sc := kernelPool.Get().(*kernelScratch)
+		var floor uint32
+		if c.spec.ID == DGC {
+			floor = dgcFloor(x, c.spec.Ratio, seed, sc)
+		}
+		idx = selectTopK(idx, x, k, floor, sc)
+		kernelPool.Put(sc)
 	}
-	sort.Slice(perm, func(a, b int) bool { return mag(x[perm[a]]) > mag(x[perm[b]]) })
-	top := perm[:k]
-	sort.Slice(top, func(a, b int) bool { return top[a] < top[b] })
-	idx := i32Buf(dst.Indices, k)
-	copy(idx, top)
-	kernelPool.Put(sc)
-	vals := f32Buf(dst.Values, k)
-	for i, j := range idx {
-		vals[i] = x[j]
-	}
-	*dst = Payload{Algo: TopK, N: n, Indices: idx, Values: vals}
-	return dst
+	return gather(dst, c.spec.ID, x, idx)
 }
 
 func (c topK) Decompress(p *Payload, out []float32) error {
-	return scatter(p, out, TopK)
+	return scatter(p, out, c.spec.ID)
 }
 
 func (c topK) WireBytes(n int) int {
 	return sparseWireBytes(keepCount(c.spec.Ratio, n))
+}
+
+// dgcFloor estimates from a seeded sample of x the key that about 2k
+// elements reach: aiming at twice the kept fraction makes an undershoot,
+// which costs selectTopK a pass over all of x, rare (about 1 call in 20
+// at 32 Ki elements) while the candidates stay a few percent of x.
+func dgcFloor(x []float32, ratio float64, seed uint64, sc *kernelScratch) uint32 {
+	rng := splitmix64(seed)
+	sample := scratchBuf(sc.keys, dgcSampleSize(len(x)))
+	sc.keys = sample
+	for i := range sample {
+		sample[i] = magKey(x[rng.intn(len(x))])
+	}
+	below := max(0, int(float64(len(sample))*(1-2*ratio)))
+	floor, _ := kthLargest(sample, len(sample)-below)
+	return floor
+}
+
+// dgcSampleSize is DGC's threshold-estimation budget: 1% of the tensor,
+// floored at 64 samples and capped at 4096 (the reference
+// implementation's cap — without it, large tensors pay O(n/100)
+// sampling), clamped to the tensor size.
+func dgcSampleSize(n int) int {
+	return min(n, max(64, min(n/100, 4096)))
 }
 
 // --- EFSignSGD 1-bit quantization ---
@@ -281,12 +171,16 @@ func (c efSign) Compress(x []float32, seed uint64) *Payload {
 func (c efSign) CompressInto(dst *Payload, x []float32, _ uint64) *Payload {
 	n := len(x)
 	bits := bitsBuf(dst.Bits, (n+7)/8)
-	var sum float64
+	var sum float64 // in index order: Scale is part of the wire bytes
 	for i, v := range x {
-		if v >= 0 {
-			bits[i/8] |= 1 << (i % 8)
-		}
-		sum += math.Abs(float64(v))
+		u := math.Float32bits(v)
+		m := u &^ signBit
+		// v >= 0 without a branch. It is false exactly when v is
+		// negative and non-zero (sign set and m != 0) or NaN (m above
+		// +Inf's pattern); bit 31 of each term below says so.
+		notNeg := ^(u&(m|-m) | (0x7f800000 - m)) >> 31
+		bits[i>>3] |= byte(notNeg << (i & 7))
+		sum += float64(math.Float32frombits(m))
 	}
 	scale := float32(0)
 	if n > 0 {
@@ -303,12 +197,22 @@ func (c efSign) Decompress(p *Payload, out []float32) error {
 	if want := (p.N + 7) / 8; len(p.Bits) != want {
 		return fmt.Errorf("compress: efsignsgd bitmap has %d bytes, want %d", len(p.Bits), want)
 	}
-	for i := range out {
-		if p.Bits[i/8]&(1<<(i%8)) != 0 {
-			out[i] = p.Scale
-		} else {
-			out[i] = -p.Scale
-		}
+	// One byte is eight elements: a table lookup each, no branch.
+	signed := [2]float32{-p.Scale, p.Scale}
+	whole := p.N / 8
+	for b, packed := range p.Bits[:whole] {
+		o := (*[8]float32)(out[8*b:])
+		o[0] = signed[packed&1]
+		o[1] = signed[packed>>1&1]
+		o[2] = signed[packed>>2&1]
+		o[3] = signed[packed>>3&1]
+		o[4] = signed[packed>>4&1]
+		o[5] = signed[packed>>5&1]
+		o[6] = signed[packed>>6&1]
+		o[7] = signed[packed>>7]
+	}
+	for i := 8 * whole; i < p.N; i++ {
+		out[i] = signed[p.Bits[whole]>>(i&7)&1]
 	}
 	return nil
 }
@@ -478,21 +382,30 @@ func checkRegion(p *Payload, out []float32, want ID) error {
 	return nil
 }
 
-// scatter writes a sparse payload into a zeroed dense region.
-func scatter(p *Payload, out []float32, want ID) error {
+// checkSparse validates a sparse payload against the dense region it is
+// about to be written into.
+func checkSparse(p *Payload, out []float32, want ID) error {
 	if err := checkRegion(p, out, want); err != nil {
 		return err
 	}
 	if len(p.Indices) != len(p.Values) {
 		return fmt.Errorf("compress: %d indices vs %d values", len(p.Indices), len(p.Values))
 	}
-	for i := range out {
-		out[i] = 0
-	}
-	for i, j := range p.Indices {
+	for _, j := range p.Indices {
 		if j < 0 || int(j) >= p.N {
 			return fmt.Errorf("compress: index %d outside region of %d", j, p.N)
 		}
+	}
+	return nil
+}
+
+// scatter writes a sparse payload into a zeroed dense region.
+func scatter(p *Payload, out []float32, want ID) error {
+	if err := checkSparse(p, out, want); err != nil {
+		return err
+	}
+	clear(out)
+	for i, j := range p.Indices {
 		out[j] = p.Values[i]
 	}
 	return nil

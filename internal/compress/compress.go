@@ -160,9 +160,7 @@ func New(spec Spec) (Compressor, error) {
 		return fp32{spec}, nil
 	case RandomK:
 		return randomK{spec}, nil
-	case DGC:
-		return dgc{spec}, nil
-	case TopK:
+	case DGC, TopK:
 		return topK{spec}, nil
 	case EFSignSGD:
 		return efSign{spec}, nil
@@ -205,21 +203,34 @@ func keepCount(ratio float64, n int) int {
 	return k
 }
 
-// AddDecompressed decompresses p with c and adds the result into acc,
-// which covers the full original tensor; p.Base offsets the write. This is
-// the aggregation step after Allgather/Alltoall of compressed tensors —
+// AddDecompressed adds p's dense reconstruction into acc, which covers
+// the full original tensor; p.Base offsets the write. This is the
+// aggregation step after Allgather/Alltoall of compressed tensors —
 // compressed aggregation is not associative (§4.2.1), so aggregation
-// always happens in the dense domain.
+// always happens in the dense domain. A sparse payload (distinct indices,
+// as every sparsifier emits) is scatter-added, touching only the elements
+// it carries; any other is decompressed into pooled scratch and added.
 func AddDecompressed(c Compressor, p *Payload, acc []float32) error {
 	if p.Base < 0 || p.Base+p.N > len(acc) {
 		return fmt.Errorf("compress: payload region [%d,%d) outside accumulator of %d", p.Base, p.Base+p.N, len(acc))
 	}
-	tmp := make([]float32, p.N)
-	if err := c.Decompress(p, tmp); err != nil {
+	region := acc[p.Base : p.Base+p.N]
+	if sparseLike(p.Algo) {
+		if err := checkSparse(p, region, c.Spec().ID); err != nil {
+			return err
+		}
+		for i, j := range p.Indices {
+			region[j] += p.Values[i]
+		}
+		return nil
+	}
+	sc := kernelPool.Get().(*kernelScratch)
+	defer kernelPool.Put(sc)
+	sc.dense = scratchBuf(sc.dense, p.N)
+	if err := c.Decompress(p, sc.dense); err != nil {
 		return err
 	}
-	region := acc[p.Base : p.Base+p.N]
-	for i, v := range tmp {
+	for i, v := range sc.dense {
 		region[i] += v
 	}
 	return nil

@@ -382,7 +382,7 @@ func TestErrorFeedbackResidualInvariant(t *testing.T) {
 		ef := NewErrorFeedback(c)
 		rng := rand.New(rand.NewSource(9))
 		grad := randVec(rng, 500)
-		p, err := ef.Compress("t0", grad, 1)
+		p, err := ef.Compress(Key{Name: "t0"}, grad, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -390,7 +390,7 @@ func TestErrorFeedbackResidualInvariant(t *testing.T) {
 		if err := c.Decompress(p, recon); err != nil {
 			t.Fatal(err)
 		}
-		res := ef.Residual("t0")
+		res := ef.Residual(Key{Name: "t0"})
 		for i := range grad {
 			if diff := math.Abs(float64(grad[i] - (recon[i] + res[i]))); diff > 1e-5 {
 				t.Fatalf("%v: residual invariant broken at %d: %v", spec, i, diff)
@@ -413,7 +413,7 @@ func TestErrorFeedbackDeliversAllMass(t *testing.T) {
 	iters := 200
 	acc := make([]float32, n)
 	for it := 0; it < iters; it++ {
-		p, err := ef.Compress("t", grad, uint64(it))
+		p, err := ef.Compress(Key{Name: "t"}, grad, uint64(it))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -438,10 +438,10 @@ func TestErrorFeedbackDeliversAllMass(t *testing.T) {
 
 func TestErrorFeedbackLengthMismatch(t *testing.T) {
 	ef := NewErrorFeedback(MustNew(Spec{ID: EFSignSGD}))
-	if _, err := ef.Compress("t", make([]float32, 10), 0); err != nil {
+	if _, err := ef.Compress(Key{Name: "t"}, make([]float32, 10), 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ef.Compress("t", make([]float32, 20), 0); err == nil {
+	if _, err := ef.Compress(Key{Name: "t"}, make([]float32, 20), 0); err == nil {
 		t.Error("length change across iterations not rejected")
 	}
 }

@@ -2,8 +2,16 @@ package compress
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
+
+// Key names one error-feedback residual: a tensor and the dense region
+// [Lo, Hi) of it that is compressed under that name.
+type Key struct {
+	Name   string
+	Lo, Hi int
+}
 
 // ErrorFeedback wraps a Compressor with the error-feedback mechanism
 // (Karimireddy et al.; Lin et al.): the residual between the corrected
@@ -11,17 +19,20 @@ import (
 // the next iteration's gradient. This is what lets aggressive GC preserve
 // convergence (§2.3), and §5.1 applies it on both GPU and CPU compression.
 //
-// Memory is keyed by tensor name, one residual per tensor per worker.
-// ErrorFeedback is safe for concurrent use by multiple goroutines.
+// Memory is one residual per Key per worker. Goroutines may use an
+// ErrorFeedback concurrently on distinct keys; a key has a single writer:
+// a Compress on a key reads and updates its residual in place, outside
+// the lock, so it must not overlap another Compress, Residual or Reset
+// that reaches the same key.
 type ErrorFeedback struct {
 	c   Compressor
-	mu  sync.Mutex
-	mem map[string][]float32
+	mu  sync.Mutex // guards the map, not the residuals in it
+	mem map[Key][]float32
 }
 
 // NewErrorFeedback wraps c.
 func NewErrorFeedback(c Compressor) *ErrorFeedback {
-	return &ErrorFeedback{c: c, mem: make(map[string][]float32)}
+	return &ErrorFeedback{c: c, mem: make(map[Key][]float32)}
 }
 
 // Compressor returns the wrapped compressor.
@@ -30,64 +41,62 @@ func (ef *ErrorFeedback) Compressor() Compressor { return ef.c }
 // Compress applies error feedback around the wrapped compressor: it
 // corrects grad with the stored residual for key, compresses the corrected
 // gradient, and stores the new residual. grad is not modified.
-func (ef *ErrorFeedback) Compress(key string, grad []float32, seed uint64) (*Payload, error) {
+func (ef *ErrorFeedback) Compress(key Key, grad []float32, seed uint64) (*Payload, error) {
 	return ef.CompressInto(new(Payload), key, grad, seed)
 }
 
 // CompressInto is Compress writing the payload into dst (see
-// Compressor.CompressInto): dst's backing arrays are reused, so a caller
-// synchronizing the same tensors every iteration compresses with no
-// steady-state payload allocation. The corrected gradient still allocates
-// once per call — it becomes the stored residual.
-func (ef *ErrorFeedback) CompressInto(dst *Payload, key string, grad []float32, seed uint64) (*Payload, error) {
+// Compressor.CompressInto). The residual is allocated on a key's first
+// use and updated in place from then on, and the corrected gradient and
+// its reconstruction live in pooled scratch: the steady state allocates
+// nothing. The residual is written only after Decompress succeeded, so an
+// error leaves it as it was.
+func (ef *ErrorFeedback) CompressInto(dst *Payload, key Key, grad []float32, seed uint64) (*Payload, error) {
 	ef.mu.Lock()
-	residual := ef.mem[key]
+	residual, seen := ef.mem[key]
 	ef.mu.Unlock()
-	if residual != nil && len(residual) != len(grad) {
-		return nil, fmt.Errorf("compress: residual for %q has %d elements, gradient has %d", key, len(residual), len(grad))
+	if seen && len(residual) != len(grad) {
+		return nil, fmt.Errorf("compress: residual for %v has %d elements, gradient has %d", key, len(residual), len(grad))
 	}
 
-	corrected := make([]float32, len(grad))
-	copy(corrected, grad)
-	if residual != nil {
-		for i, r := range residual {
-			corrected[i] += r
+	sc := kernelPool.Get().(*kernelScratch)
+	defer kernelPool.Put(sc)
+	corrected := grad
+	if seen {
+		corrected = scratchBuf(sc.corrected, len(grad))
+		sc.corrected = corrected
+		for i, g := range grad {
+			corrected[i] = g + residual[i]
 		}
 	}
 	p := ef.c.CompressInto(dst, corrected, seed)
-
-	sc := kernelPool.Get().(*kernelScratch)
-	recon := f32Buf(sc.sample, len(grad))
-	sc.sample = recon
+	recon := scratchBuf(sc.dense, len(grad))
+	sc.dense = recon
 	if err := ef.c.Decompress(p, recon); err != nil {
-		kernelPool.Put(sc)
 		return nil, err
 	}
-	newResidual := corrected // reuse: corrected - recon
-	for i := range newResidual {
-		newResidual[i] -= recon[i]
+	if !seen {
+		residual = make([]float32, len(grad))
+		ef.mu.Lock()
+		ef.mem[key] = residual
+		ef.mu.Unlock()
 	}
-	kernelPool.Put(sc)
-	ef.mu.Lock()
-	ef.mem[key] = newResidual
-	ef.mu.Unlock()
+	for i, r := range recon {
+		residual[i] = corrected[i] - r
+	}
 	return p, nil
 }
 
 // Residual returns a copy of the stored residual for key, or nil.
-func (ef *ErrorFeedback) Residual(key string) []float32 {
+func (ef *ErrorFeedback) Residual(key Key) []float32 {
 	ef.mu.Lock()
 	defer ef.mu.Unlock()
-	r := ef.mem[key]
-	if r == nil {
-		return nil
-	}
-	return append([]float32(nil), r...)
+	return slices.Clone(ef.mem[key])
 }
 
 // Reset drops all stored residuals.
 func (ef *ErrorFeedback) Reset() {
 	ef.mu.Lock()
 	defer ef.mu.Unlock()
-	ef.mem = make(map[string][]float32)
+	ef.mem = make(map[Key][]float32)
 }

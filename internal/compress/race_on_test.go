@@ -1,0 +1,8 @@
+//go:build race
+
+package compress
+
+// raceEnabled reports that the race detector is active: sync.Pool then
+// drops a quarter of what is put back, so allocation ceilings on pooled
+// scratch do not hold.
+const raceEnabled = true

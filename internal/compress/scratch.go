@@ -2,15 +2,17 @@ package compress
 
 import "sync"
 
-// kernelScratch holds the per-call intermediate storage of the selection
-// kernels — threshold samples, Floyd sets, magnitude orders — working
-// state that never escapes into payloads. It is pooled so steady-state
-// compression of a fixed tensor set allocates only what the payload
-// itself carries.
+// kernelScratch holds the per-call intermediate storage of the kernels —
+// selection keys, Floyd sets, dense reconstructions — working state that
+// never escapes into payloads. It is pooled, not owned by a compressor or
+// an executor: steady-state compression of a fixed tensor set allocates
+// only what the payload itself carries, and an idle process holds none
+// of it once the collector has emptied the pool.
 type kernelScratch struct {
-	sample []float32
-	set    map[int32]struct{}
-	order  []int32
+	keys      []uint32
+	set       map[int32]struct{}
+	dense     []float32
+	corrected []float32
 }
 
 var kernelPool = sync.Pool{New: func() any { return new(kernelScratch) }}
@@ -25,21 +27,13 @@ func (s *kernelScratch) resetSet(hint int) map[int32]struct{} {
 	return s.set
 }
 
-// f32Buf returns a length-n slice backed by buf when it has capacity.
+// scratchBuf returns a length-n slice backed by buf when it has capacity.
 // Contents are unspecified; callers overwrite every element.
-func f32Buf(buf []float32, n int) []float32 {
+func scratchBuf[T any](buf []T, n int) []T {
 	if cap(buf) >= n {
 		return buf[:n]
 	}
-	return make([]float32, n)
-}
-
-// i32Buf is f32Buf for index slices.
-func i32Buf(buf []int32, n int) []int32 {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	return make([]int32, n)
+	return make([]T, n)
 }
 
 // bitsBuf returns a zeroed length-n byte slice backed by buf when it has

@@ -93,7 +93,7 @@ func (x *Executor) commDense(st strategy.Step, states []nodeState, group []int) 
 		}
 		data := make([][]float32, len(act))
 		for i, g := range act {
-			data[i] = states[g].dense
+			data[i] = states[g].dense()
 		}
 		return collective.Allreduce(data)
 
@@ -107,18 +107,15 @@ func (x *Executor) commDense(st strategy.Step, states []nodeState, group []int) 
 		}
 		data := make([][]float32, len(act))
 		for i, g := range act {
-			data[i] = states[g].dense
+			data[i] = states[g].dense()
 		}
 		bounds, err := collective.ReduceScatter(data)
 		if err != nil {
 			return err
 		}
+		// Node i's reduced chunk is already where its shard lives.
 		for i, g := range act {
-			s := &states[g]
-			shard := append([]float32(nil), data[i][bounds[i]:bounds[i+1]]...)
-			s.dense = shard
-			s.lo = lo + bounds[i]
-			s.hi = lo + bounds[i+1]
+			states[g].lo, states[g].hi = lo+bounds[i], lo+bounds[i+1]
 		}
 		return nil
 
@@ -131,7 +128,7 @@ func (x *Executor) commDense(st strategy.Step, states []nodeState, group []int) 
 		}
 		data := make([][]float32, len(act))
 		for i, g := range act {
-			data[i] = states[g].dense
+			data[i] = states[g].dense()
 		}
 		if err := collective.Reduce(data, 0); err != nil {
 			return err
@@ -141,7 +138,6 @@ func (x *Executor) commDense(st strategy.Step, states []nodeState, group []int) 
 				continue
 			}
 			states[g].active = false
-			states[g].dense = nil
 		}
 		return nil
 
@@ -169,7 +165,7 @@ func (x *Executor) commDense(st strategy.Step, states []nodeState, group []int) 
 			s := &states[g]
 			s.active = true
 			s.lo, s.hi = src.lo, src.hi
-			s.dense = append([]float32(nil), src.dense...)
+			copy(s.dense(), src.dense())
 			s.compressed = false
 			s.payloads = nil
 		}
@@ -181,7 +177,8 @@ func (x *Executor) commDense(st strategy.Step, states []nodeState, group []int) 
 }
 
 // gatherRegions implements the uncompressed second-step allgather: every
-// group member receives the concatenation of the active members' regions.
+// group member receives the concatenation of the active members' regions,
+// each copied into the same place of the receiver's own buffer.
 func gatherRegions(states []nodeState, group, act []int) error {
 	if len(act) == 0 {
 		return fmt.Errorf("allgather with no active members")
@@ -190,24 +187,29 @@ func gatherRegions(states []nodeState, group, act []int) error {
 	sort.Slice(sorted, func(a, b int) bool { return states[sorted[a]].lo < states[sorted[b]].lo })
 	lo := states[sorted[0]].lo
 	hi := states[sorted[len(sorted)-1]].hi
-	full := make([]float32, hi-lo)
 	expect := lo
 	for _, g := range sorted {
-		s := &states[g]
-		if s.lo != expect {
-			return fmt.Errorf("allgather regions not contiguous: next at %d, expected %d", s.lo, expect)
+		if states[g].lo != expect {
+			return fmt.Errorf("allgather regions not contiguous: next at %d, expected %d", states[g].lo, expect)
 		}
-		copy(full[s.lo-lo:], s.dense)
-		expect = s.hi
+		expect = states[g].hi
 	}
 	if expect != hi {
 		return fmt.Errorf("allgather regions do not cover [%d,%d)", lo, hi)
+	}
+	// A receiver is written only outside the shard it contributes, so
+	// the shards can be read while the copies are in progress.
+	for _, g := range group {
+		for _, src := range sorted {
+			if src != g {
+				copy(states[g].buf[states[src].lo:], states[src].dense())
+			}
+		}
 	}
 	for _, g := range group {
 		s := &states[g]
 		s.active = true
 		s.lo, s.hi = lo, hi
-		s.dense = append([]float32(nil), full...)
 		s.compressed = false
 		s.payloads = nil
 	}
@@ -335,7 +337,6 @@ func (x *Executor) commCompressed(st strategy.Step, states []nodeState, group []
 			s.compressed = true
 			s.lo, s.hi = src.lo, src.hi
 			s.payloads = append([]*compress.Payload(nil), src.payloads...)
-			s.dense = nil
 		}
 		return nil
 
@@ -370,7 +371,6 @@ func gatherPayloadRegions(states []nodeState, group, act []int) error {
 		s.compressed = true
 		s.lo, s.hi = lo, hi
 		s.payloads = append([]*compress.Payload(nil), union...)
-		s.dense = nil
 	}
 	return nil
 }

@@ -113,7 +113,7 @@ func TestIndivisibleCompressedMatchesReference(t *testing.T) {
 	ref := make([]float32, 32)
 	for g := range grads {
 		ef := compress.NewErrorFeedback(comp)
-		p, err := ef.Compress("t@0:32", grads[g], 7+uint64(g))
+		p, err := ef.Compress(compress.Key{Name: "t", Hi: 32}, grads[g], 7+uint64(g))
 		if err != nil {
 			t.Fatal(err)
 		}

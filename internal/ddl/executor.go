@@ -104,14 +104,21 @@ func NewExecutor(c *cluster.Cluster, spec compress.Spec) (*Executor, error) {
 	return &Executor{C: c, Spec: spec, comp: comp, ef: ef}, nil
 }
 
-// nodeState is one GPU's view of a tensor mid-synchronization.
+// nodeState is one GPU's view of a tensor mid-synchronization. buf is the
+// GPU's private full-length copy of the tensor, made once per SyncTensor
+// and returned as its result; whatever dense region [lo, hi) the GPU
+// holds lives at buf[lo:hi], so scattering, gathering and decompressing
+// move the bounds and never allocate.
 type nodeState struct {
 	active     bool
 	lo, hi     int // dense element region currently held
-	dense      []float32
+	buf        []float32
 	payloads   []*compress.Payload
 	compressed bool
 }
+
+// dense is the region the GPU holds, valid while it is not compressed.
+func (s *nodeState) dense() []float32 { return s.buf[s.lo:s.hi] }
 
 // SyncTensor synchronizes one tensor: grads holds each GPU's local
 // gradient (len TotalGPUs, equal lengths); the result holds each GPU's
@@ -131,10 +138,7 @@ func (x *Executor) SyncTensor(name string, grads [][]float32, opt strategy.Optio
 		if len(grads[g]) != n {
 			return nil, fmt.Errorf("ddl: GPU %d gradient has %d elements, GPU 0 has %d", g, len(grads[g]), n)
 		}
-		states[g] = nodeState{
-			active: true, lo: 0, hi: n,
-			dense: append([]float32(nil), grads[g]...),
-		}
+		states[g] = nodeState{active: true, hi: n, buf: append([]float32(nil), grads[g]...)}
 	}
 
 	firstComp := true
@@ -165,7 +169,7 @@ func (x *Executor) SyncTensor(name string, grads [][]float32, opt strategy.Optio
 			return nil, fmt.Errorf("ddl: %s: GPU %d ended active=%v compressed=%v region [%d,%d), want dense [0,%d)",
 				name, g, s.active, s.compressed, s.lo, s.hi, n)
 		}
-		out[g] = s.dense
+		out[g] = s.buf
 	}
 	return out, nil
 }
@@ -232,13 +236,13 @@ func (x *Executor) compressStep(name string, states []nodeState, seed uint64, us
 		var p *compress.Payload
 		var err error
 		if useEF && !x.DisableErrorFeedback {
-			key := fmt.Sprintf("%s@%d:%d", name, s.lo, s.hi)
-			p, err = x.ef[g].CompressInto(x.payloadScratch[g], key, s.dense, seed+uint64(g))
+			key := compress.Key{Name: name, Lo: s.lo, Hi: s.hi}
+			p, err = x.ef[g].CompressInto(x.payloadScratch[g], key, s.dense(), seed+uint64(g))
 			if err != nil {
 				return err
 			}
 		} else {
-			p = x.comp.CompressInto(x.payloadScratch[g], s.dense, seed+uint64(g))
+			p = x.comp.CompressInto(x.payloadScratch[g], s.dense(), seed+uint64(g))
 		}
 		p.Base = s.lo
 		if x.Metrics != nil {
@@ -253,7 +257,6 @@ func (x *Executor) compressStep(name string, states []nodeState, seed uint64, us
 			}
 		}
 		s.payloads = []*compress.Payload{p}
-		s.dense = nil
 		s.compressed = true
 	}
 	return nil
@@ -268,7 +271,8 @@ func (x *Executor) decompressStep(states []nodeState) error {
 		if !s.compressed {
 			return fmt.Errorf("GPU %d decompressing a dense region", g)
 		}
-		acc := make([]float32, s.hi-s.lo)
+		acc := s.dense()
+		clear(acc)
 		for _, p := range s.payloads {
 			// AddDecompressed works on a full-tensor accumulator;
 			// shift the payload into region-relative coordinates.
@@ -278,7 +282,6 @@ func (x *Executor) decompressStep(states []nodeState) error {
 				return err
 			}
 		}
-		s.dense = acc
 		s.payloads = nil
 		s.compressed = false
 	}
