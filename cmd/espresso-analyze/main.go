@@ -14,18 +14,13 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
 	"os"
 	"time"
 
-	"espresso/internal/baselines"
-	"espresso/internal/cluster"
-	"espresso/internal/compress"
 	"espresso/internal/core"
-	"espresso/internal/cost"
+	"espresso/internal/jobspec"
 	"espresso/internal/logx"
-	"espresso/internal/model"
 	"espresso/internal/obs"
 	"espresso/internal/obs/analyze"
 	"espresso/internal/par"
@@ -40,12 +35,6 @@ var log *slog.Logger
 func main() {
 	var (
 		traceF   = flag.String("trace", "", "analyze a Chrome trace-event JSON file instead of running a job")
-		modelF   = flag.String("model", "resnet101", "model preset")
-		clusterF = flag.String("cluster", "nvlink", "cluster preset (nvlink, pcie)")
-		machines = flag.Int("machines", 8, "GPU machines")
-		gpus     = flag.Int("gpus", 0, "GPUs per machine (0 = preset default)")
-		algo     = flag.String("algo", "dgc", "GC algorithm")
-		ratio    = flag.Float64("ratio", 0.01, "sparsifier ratio")
 		system   = flag.String("system", "espresso", "espresso|fp32|hipress|hitopkcomm|bytepscompress")
 		parallel = flag.Int("parallel", 0, "strategy-search workers (0 = one per CPU)")
 		explain  = flag.Bool("explain", false, "print the selector's per-tensor decision log (espresso system only)")
@@ -54,10 +43,9 @@ func main() {
 		analysis = flag.String("analysis-out", "", "write the machine-readable profile JSON here")
 		traceOut = flag.String("trace-out", "", "also write the derived timeline as Chrome trace-event JSON (job mode only)")
 	)
-	var logf logx.Flags
-	logf.Register(nil)
-	flag.Parse()
-	log = logf.Logger()
+	jf := jobspec.Flags{Model: "resnet101", Cluster: "nvlink", Machines: 8, Algo: "dgc", Ratio: 0.01}
+	jf.Register(nil)
+	log = logx.ParseFlags()
 
 	var (
 		spans []obs.Span
@@ -80,15 +68,21 @@ func main() {
 		}
 		fmt.Printf("loaded %d spans from %s\n", len(spans), *traceF)
 	} else {
-		m, c, cm, err := resolve(*modelF, *clusterF, *machines, *gpus, *algo, *ratio)
+		job, err := jf.Job()
 		if err != nil {
 			fatal(err)
 		}
-		s, r, err := pick(*system, m, c, cm, *parallel, *explain)
+		job.Parallelism = par.Workers(*parallel)
+		job.Explain = *explain
+		r, err := job.Resolve()
 		if err != nil {
 			fatal(err)
 		}
-		rep = r
+		m, c, cm := r.Model, r.Cluster, r.Costs
+		var s *strategy.Strategy
+		if s, rep, err = r.Strategy(*system, nil); err != nil {
+			fatal(err)
+		}
 		if rep != nil {
 			fmt.Printf("selected strategy in %v: %d/%d tensors compressed, %d offloaded, %d ruled out\n",
 				rep.SelectionTime, rep.Compressed, m.NumTensors(), rep.Offloaded, rep.Ruled)
@@ -107,7 +101,7 @@ func main() {
 		spans = trace.Spans()
 		opts.Forward = m.Forward
 		if *traceOut != "" {
-			if err := writeFile(*traceOut, trace.WriteChrome); err != nil {
+			if err := logx.WriteFile(*traceOut, trace.WriteChrome); err != nil {
 				fatal(err)
 			}
 			fmt.Printf("wrote Chrome trace (%d spans) to %s — open in ui.perfetto.dev\n", trace.Len(), *traceOut)
@@ -140,74 +134,11 @@ func main() {
 	}
 
 	if *analysis != "" {
-		if err := writeFile(*analysis, p.WriteJSON); err != nil {
+		if err := logx.WriteFile(*analysis, p.WriteJSON); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("\nwrote analysis to %s\n", *analysis)
 	}
-}
-
-// resolve builds the internal job representation from the flag values.
-func resolve(modelF, clusterF string, machines, gpus int, algo string, ratio float64) (*model.Model, *cluster.Cluster, *cost.Models, error) {
-	m, err := model.ByName(modelF)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	var c *cluster.Cluster
-	switch clusterF {
-	case "nvlink":
-		c = cluster.NVLinkTestbed(machines)
-	case "pcie":
-		c = cluster.PCIeTestbed(machines)
-	default:
-		return nil, nil, nil, fmt.Errorf("unknown cluster preset %q", clusterF)
-	}
-	if gpus > 0 {
-		c.GPUsPerMachine = gpus
-	}
-	id, err := compress.ParseID(algo)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	cm, err := cost.NewModels(c, compress.Spec{ID: id, Ratio: ratio})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return m, c, cm, nil
-}
-
-// pick selects the strategy for the requested system. The report is nil
-// for baseline systems (they make no selection).
-func pick(system string, m *model.Model, c *cluster.Cluster, cm *cost.Models, parallel int, explain bool) (*strategy.Strategy, *core.Report, error) {
-	switch system {
-	case "espresso":
-		sel := core.NewSelector(m, c, cm)
-		sel.Parallelism = par.Workers(parallel)
-		sel.Explain = explain
-		return sel.Select()
-	case "fp32", "hipress", "hitopkcomm", "bytepscompress":
-		sys := map[string]baselines.System{
-			"fp32": baselines.FP32, "hipress": baselines.HiPress,
-			"hitopkcomm": baselines.HiTopKComm, "bytepscompress": baselines.BytePSCompress,
-		}[system]
-		s, err := baselines.Strategy(sys, m, c, cm)
-		return s, nil, err
-	default:
-		return nil, nil, fmt.Errorf("unknown system %q", system)
-	}
-}
-
-// writeFile streams one artifact to path.
-func writeFile(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func fatal(err error) {

@@ -17,7 +17,6 @@ import (
 	"espresso/internal/experiments"
 	"espresso/internal/logx"
 	"espresso/internal/obs"
-	"espresso/internal/obs/serve"
 )
 
 var runners = map[string]func() (string, error){
@@ -128,20 +127,12 @@ func main() {
 	exp := flag.String("experiment", "all", "table1|table5|table6|fig10|fig11|fig12|fig13|fig14|fig15|fig16|timelines|traffic|all")
 	parallel := flag.Int("parallel", 1, "worker count for sweeps and strategy searches (0 = one per CPU); results are identical at any setting")
 	listen := flag.String("listen", "", "serve /metrics, /healthz, and /debug/pprof on this address while the experiments run (e.g. 127.0.0.1:9090)")
-	var logf logx.Flags
-	logf.Register(nil)
-	flag.Parse()
-	log = logf.Logger()
+	log = logx.ParseFlags()
 	experiments.SetParallelism(*parallel)
 
 	metrics := obs.NewMetrics()
 	if *listen != "" {
-		srv, err := serve.Start(*listen, metrics)
-		if err != nil {
-			logx.Fatal(log, "listen failed", "err", err)
-		}
-		defer srv.Close()
-		log.Info("observability endpoint up", "url", srv.URL)
+		defer logx.Listen(log, *listen, metrics).Close()
 	}
 
 	var names []string

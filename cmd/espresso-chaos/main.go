@@ -32,8 +32,7 @@ import (
 	"espresso/internal/chaos"
 	"espresso/internal/cluster"
 	"espresso/internal/compress"
-	"espresso/internal/core"
-	"espresso/internal/cost"
+	"espresso/internal/jobspec"
 	"espresso/internal/logx"
 	"espresso/internal/model"
 	"espresso/internal/par"
@@ -52,12 +51,6 @@ var log *slog.Logger
 
 func main() {
 	var (
-		modelF     = flag.String("model", "lstm", "model preset")
-		clusterF   = flag.String("cluster", "nvlink", "cluster preset (nvlink, pcie)")
-		machines   = flag.Int("machines", 4, "GPU machines")
-		gpus       = flag.Int("gpus", 0, "GPUs per machine (0 = preset default)")
-		algo       = flag.String("algo", "dgc", "GC algorithm")
-		ratio      = flag.Float64("ratio", 0.01, "sparsifier ratio")
 		severities = flag.String("severities", "1,2,4,8,16", "comma-separated straggler severities (inter bandwidth divisors)")
 		parallel   = flag.Int("parallel", 0, "strategy-search workers (0 = one per CPU)")
 		jsonOut    = flag.String("json-out", "", "write the sweep rows as JSON")
@@ -67,41 +60,23 @@ func main() {
 		determin   = flag.Bool("deterministic", false, "zero wall-clock fields in the report so same-seed reruns are byte-identical")
 		policyF    = flag.String("policy", "", "override the plan's degradation policy (reselect, continue-degraded, abort-after-n-failures)")
 	)
-	var logf logx.Flags
-	logf.Register(nil)
-	flag.Parse()
-	log = logf.Logger()
+	jf := jobspec.Flags{Model: "lstm", Cluster: "nvlink", Machines: 4, Algo: "dgc", Ratio: 0.01}
+	jf.Register(nil)
+	log = logx.ParseFlags()
 
-	m, err := model.ByName(*modelF)
+	job, err := jf.Job()
 	if err != nil {
 		fatal(err)
 	}
-	var c *cluster.Cluster
-	switch *clusterF {
-	case "nvlink":
-		c = cluster.NVLinkTestbed(*machines)
-	case "pcie":
-		c = cluster.PCIeTestbed(*machines)
-	default:
-		fatal(fmt.Errorf("unknown cluster preset %q", *clusterF))
-	}
-	if *gpus > 0 {
-		c.GPUsPerMachine = *gpus
-	}
-	id, err := compress.ParseID(*algo)
+	job.Parallelism = par.Workers(*parallel)
+	r, err := job.Resolve()
 	if err != nil {
 		fatal(err)
 	}
-	spec := compress.Spec{ID: id, Ratio: *ratio}
-	cm, err := cost.NewModels(c, spec)
-	if err != nil {
-		fatal(err)
-	}
+	m, c, spec := r.Model, r.Cluster, r.Spec
 
 	// The healthy incumbent, selected once.
-	sel := core.NewSelector(m, c, cm)
-	sel.Parallelism = par.Workers(*parallel)
-	healthy, rep, err := sel.Select()
+	healthy, rep, err := r.Strategy(jobspec.Espresso, nil)
 	if err != nil {
 		fatal(err)
 	}

@@ -45,10 +45,7 @@ func main() {
 		trace       = flag.Bool("trace", false, "wall-clock-trace every synchronous selection into the flight recorder (/debug/flight)")
 		drain       = flag.Duration("drain", 15*time.Second, "how long shutdown waits for in-flight requests")
 	)
-	var logf logx.Flags
-	logf.Register(nil)
-	flag.Parse()
-	log := logf.Logger()
+	log := logx.ParseFlags()
 
 	if *storeDir == "" {
 		logx.Fatal(log, "-store is required")
@@ -82,12 +79,9 @@ func main() {
 		logx.Fatal(log, "building server failed", "err", err)
 	}
 
-	httpSrv, err := obsserve.Start(*listen, cfg.Metrics,
+	httpSrv := logx.Listen(log, *listen, cfg.Metrics,
 		obsserve.WithFlight(cfg.Flight),
 		obsserve.WithHandler("/v1/", srv.Handler()))
-	if err != nil {
-		logx.Fatal(log, "listen failed", "addr", *listen, "err", err)
-	}
 	log.Info("espresso-serve up", "url", httpSrv.URL, "store", *storeDir,
 		"workers", *workers, "auth", *token != "", "trace", *trace)
 

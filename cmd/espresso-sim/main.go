@@ -8,49 +8,24 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
 	"math/rand"
 	"os"
 	"time"
 
-	"espresso/internal/baselines"
 	"espresso/internal/chaos"
-	"espresso/internal/cluster"
-	"espresso/internal/compress"
 	"espresso/internal/core"
-	"espresso/internal/cost"
 	"espresso/internal/ddl"
+	"espresso/internal/jobspec"
 	"espresso/internal/logx"
-	"espresso/internal/model"
 	"espresso/internal/netsim"
 	"espresso/internal/obs"
 	"espresso/internal/obs/analyze"
-	"espresso/internal/obs/serve"
 	"espresso/internal/par"
-	"espresso/internal/strategy"
 	"espresso/internal/timeline"
 )
-
-// jobConfig mirrors the job-description JSON of configs/ (the same shape
-// espresso.Job unmarshals); fields present override the flags.
-type jobConfig struct {
-	Model struct {
-		Preset string `json:"preset"`
-	} `json:"model"`
-	Cluster struct {
-		Preset         string `json:"preset"`
-		Machines       int    `json:"machines"`
-		GPUsPerMachine int    `json:"gpus_per_machine"`
-	} `json:"cluster"`
-	Algorithm struct {
-		Name  string  `json:"name"`
-		Ratio float64 `json:"ratio"`
-	} `json:"algorithm"`
-}
 
 // log carries the CLI's structured stderr diagnostics; built in main
 // from the shared -log-level/-log-json flags.
@@ -58,18 +33,11 @@ var log *slog.Logger
 
 func main() {
 	var (
-		modelF     = flag.String("model", "lstm", "model preset")
-		clusterF   = flag.String("cluster", "nvlink", "cluster preset (nvlink, pcie)")
-		machines   = flag.Int("machines", 2, "GPU machines")
-		gpus       = flag.Int("gpus", 2, "GPUs per machine (kept small: the data plane moves real bytes)")
-		algo       = flag.String("algo", "dgc", "GC algorithm")
-		ratio      = flag.Float64("ratio", 0.01, "sparsifier ratio")
 		system     = flag.String("system", "espresso", "espresso|fp32|hipress|hitopkcomm|bytepscompress")
 		iters      = flag.Int("iters", 2, "iterations to execute on the data plane")
 		scale      = flag.Int("scale", 4096, "elements per simulated tensor on the data plane")
 		gantt      = flag.Bool("gantt", true, "print the derived timeline")
 		parallel   = flag.Int("parallel", 1, "strategy-search workers (0 = one per CPU); the selected strategy is identical at any setting")
-		jobF       = flag.String("job", "", "job-description JSON (overrides -model/-cluster/-machines/-gpus/-algo/-ratio)")
 		traceOut   = flag.String("trace-out", "", "write a Chrome trace-event JSON file of the derived timeline")
 		metrOut    = flag.String("metrics-out", "", "write a metrics-registry JSON file")
 		explain    = flag.Bool("explain", false, "print the selector's per-tensor decision log (espresso system only)")
@@ -79,63 +47,23 @@ func main() {
 		chaosDet   = flag.Bool("deterministic", false, "zero wall-clock fields in the chaos report so same-seed reruns are byte-identical")
 		listen     = flag.String("listen", "", "serve /metrics, /healthz, and /debug/pprof on this address during the run (e.g. 127.0.0.1:9090)")
 	)
-	var logf logx.Flags
-	logf.Register(nil)
-	flag.Parse()
-	log = logf.Logger()
+	jf := jobspec.Flags{Model: "lstm", Cluster: "nvlink", Machines: 2, GPUs: 2, Algo: "dgc", Ratio: 0.01, JobFlag: true}
+	jf.Register(nil)
+	flag.Lookup("gpus").Usage = "GPUs per machine (kept small: the data plane moves real bytes)"
+	flag.Lookup("job").Usage = "job-description JSON (overrides -model/-cluster/-machines/-gpus/-algo/-ratio)"
+	log = logx.ParseFlags()
 
-	if *jobF != "" {
-		data, err := os.ReadFile(*jobF)
-		if err != nil {
-			fatal(err)
-		}
-		var jc jobConfig
-		if err := json.Unmarshal(data, &jc); err != nil {
-			fatal(fmt.Errorf("parsing %s: %w", *jobF, err))
-		}
-		if jc.Model.Preset != "" {
-			*modelF = jc.Model.Preset
-		}
-		if jc.Cluster.Preset != "" {
-			*clusterF = jc.Cluster.Preset
-		}
-		if jc.Cluster.Machines > 0 {
-			*machines = jc.Cluster.Machines
-		}
-		if jc.Cluster.GPUsPerMachine > 0 {
-			*gpus = jc.Cluster.GPUsPerMachine
-		}
-		if jc.Algorithm.Name != "" {
-			*algo = jc.Algorithm.Name
-		}
-		if jc.Algorithm.Ratio > 0 {
-			*ratio = jc.Algorithm.Ratio
-		}
-	}
-
-	m, err := model.ByName(*modelF)
+	job, err := jf.Job()
 	if err != nil {
 		fatal(err)
 	}
-	var c *cluster.Cluster
-	switch *clusterF {
-	case "nvlink":
-		c = cluster.NVLinkTestbed(*machines)
-	case "pcie":
-		c = cluster.PCIeTestbed(*machines)
-	default:
-		fatal(fmt.Errorf("unknown cluster preset %q", *clusterF))
-	}
-	c.GPUsPerMachine = *gpus
-	id, err := compress.ParseID(*algo)
+	job.Parallelism = par.Workers(*parallel)
+	job.Explain = job.Explain || *explain
+	r, err := job.Resolve()
 	if err != nil {
 		fatal(err)
 	}
-	spec := compress.Spec{ID: id, Ratio: *ratio}
-	cm, err := cost.NewModels(c, spec)
-	if err != nil {
-		fatal(err)
-	}
+	m, c, spec, cm := r.Model, r.Cluster, r.Spec, r.Costs
 
 	// Telemetry sinks, active when either output flag is set. The
 	// analyzer consumes the span stream too, so -analyze-out implies a
@@ -151,42 +79,20 @@ func main() {
 		metrics = obs.NewMetrics()
 	}
 	if *listen != "" {
-		srv, err := serve.Start(*listen, metrics)
-		if err != nil {
-			fatal(err)
-		}
-		defer srv.Close()
-		log.Info("observability endpoint up", "url", srv.URL)
+		defer logx.Listen(log, *listen, metrics).Close()
 	}
 
 	// Pick the strategy.
-	var s *strategy.Strategy
-	switch *system {
-	case "espresso":
-		sel := core.NewSelector(m, c, cm)
-		sel.Parallelism = par.Workers(*parallel)
-		sel.Obs = metrics
-		sel.Explain = *explain
-		var rep *core.Report
-		s, rep, err = sel.Select()
-		if err != nil {
-			fatal(err)
-		}
+	s, rep, err := r.Strategy(*system, metrics)
+	if err != nil {
+		fatal(err)
+	}
+	if rep != nil {
 		fmt.Printf("selected strategy in %v: %d/%d tensors compressed, %d offloaded\n",
 			rep.SelectionTime, rep.Compressed, m.NumTensors(), rep.Offloaded)
 		if len(rep.Decisions) > 0 {
 			core.WriteDecisions(os.Stdout, rep.Decisions)
 		}
-	case "fp32", "hipress", "hitopkcomm", "bytepscompress":
-		sys := map[string]baselines.System{
-			"fp32": baselines.FP32, "hipress": baselines.HiPress,
-			"hitopkcomm": baselines.HiTopKComm, "bytepscompress": baselines.BytePSCompress,
-		}[*system]
-		if s, err = baselines.Strategy(sys, m, c, cm); err != nil {
-			fatal(err)
-		}
-	default:
-		fatal(fmt.Errorf("unknown system %q", *system))
 	}
 
 	// Derive the timeline.
@@ -330,7 +236,7 @@ func main() {
 	}
 
 	if *traceOut != "" {
-		if err := writeFile(*traceOut, trace.WriteChrome); err != nil {
+		if err := logx.WriteFile(*traceOut, trace.WriteChrome); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("wrote Chrome trace (%d spans) to %s — open in ui.perfetto.dev\n", trace.Len(), *traceOut)
@@ -340,7 +246,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := writeFile(*analyzeOut, p.WriteJSON); err != nil {
+		if err := logx.WriteFile(*analyzeOut, p.WriteJSON); err != nil {
 			fatal(err)
 		}
 		if dom, ok := p.Critical.Dominant(); ok {
@@ -359,7 +265,7 @@ func main() {
 		metrics.Gauge("ddl.traffic.intra.compressed_bytes").Set(float64(tr.Intra.CompressedBytes))
 		metrics.Gauge("ddl.traffic.inter.raw_bytes").Set(float64(tr.Inter.RawBytes))
 		metrics.Gauge("ddl.traffic.inter.compressed_bytes").Set(float64(tr.Inter.CompressedBytes))
-		if err := writeFile(*metrOut, metrics.WriteJSON); err != nil {
+		if err := logx.WriteFile(*metrOut, metrics.WriteJSON); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("wrote metrics to %s\n", *metrOut)
@@ -376,19 +282,6 @@ func writeChaosReport(runner *chaos.Runner, path string) {
 		fatal(err)
 	}
 	fmt.Printf("wrote chaos report to %s\n", path)
-}
-
-// writeFile streams one telemetry artifact to path.
-func writeFile(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func fatal(err error) {

@@ -10,9 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
-	"os"
 	"time"
 
 	"espresso/internal/compress"
@@ -37,10 +35,7 @@ func main() {
 		traceOut = flag.String("trace-out", "", "write the averaged backward pass as Chrome trace-event JSON")
 		metrOut  = flag.String("metrics-out", "", "write profiling metrics as JSON")
 	)
-	var logf logx.Flags
-	logf.Register(nil)
-	flag.Parse()
-	log = logf.Logger()
+	log = logx.ParseFlags()
 
 	m, err := model.ByName(*modelF)
 	if err != nil {
@@ -94,7 +89,7 @@ func main() {
 			})
 			clock += t.Compute
 		}
-		if err := writeFile(*traceOut, tr.WriteChrome); err != nil {
+		if err := logx.WriteFile(*traceOut, tr.WriteChrome); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("\nwrote backward-pass trace (%d spans) to %s\n", tr.Len(), *traceOut)
@@ -116,24 +111,11 @@ func main() {
 					Observe(float64(s.WireBytes) / float64(dense))
 			}
 		}
-		if err := writeFile(*metrOut, mx.WriteJSON); err != nil {
+		if err := logx.WriteFile(*metrOut, mx.WriteJSON); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("wrote profiling metrics to %s\n", *metrOut)
 	}
-}
-
-// writeFile streams one telemetry artifact to path.
-func writeFile(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func fatal(err error) {

@@ -21,7 +21,6 @@ import (
 
 	"espresso/internal/logx"
 	"espresso/internal/obs"
-	"espresso/internal/obs/serve"
 	"espresso/internal/oracle/diff"
 )
 
@@ -40,19 +39,10 @@ func main() {
 		failFast = flag.Bool("fail-fast", false, "stop after the first failing case")
 		listen   = flag.String("listen", "", "serve /metrics, /healthz, and /debug/pprof on this address during the run (e.g. 127.0.0.1:9090)")
 	)
-	var logf logx.Flags
-	logf.Register(nil)
-	flag.Parse()
-	log = logf.Logger()
+	log = logx.ParseFlags()
 
 	if *listen != "" {
-		srv, err := serve.Start(*listen, obs.NewMetrics())
-		if err != nil {
-			log.Error("listen failed", "err", err)
-			os.Exit(2)
-		}
-		defer srv.Close()
-		log.Info("observability endpoint up", "url", srv.URL)
+		defer logx.Listen(log, *listen, obs.NewMetrics()).Close()
 	}
 
 	cfg := diff.Config{

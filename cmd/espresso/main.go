@@ -18,6 +18,7 @@ import (
 	"os"
 
 	"espresso"
+	"espresso/internal/jobspec"
 	"espresso/internal/logx"
 )
 
@@ -27,39 +28,23 @@ var log *slog.Logger
 
 func main() {
 	var (
-		jobFile  = flag.String("job", "", "JSON job file with model/cluster/algorithm specs")
-		modelF   = flag.String("model", "bert-base", "model preset (vgg16, resnet101, ugatit, bert-base, gpt2, lstm)")
-		clusterF = flag.String("cluster", "nvlink", "cluster preset (nvlink, pcie)")
-		machines = flag.Int("machines", 8, "number of GPU machines")
-		gpus     = flag.Int("gpus", 0, "GPUs per machine (0 = preset default)")
-		algo     = flag.String("algo", "randomk", "GC algorithm (fp32, randomk, dgc, topk, efsignsgd, qsgd, terngrad)")
-		ratio    = flag.Float64("ratio", 0.01, "sparsifier compression ratio")
-		compare  = flag.Bool("compare", false, "also evaluate the baseline systems and the upper bound")
-		showAll  = flag.Bool("decisions", false, "print the per-tensor decisions")
-		asJSON   = flag.Bool("json", false, "emit machine-readable JSON")
-		export   = flag.String("export", "", "write the selected strategy to this file")
-		apply    = flag.String("apply", "", "evaluate a previously exported strategy instead of selecting")
+		compare = flag.Bool("compare", false, "also evaluate the baseline systems and the upper bound")
+		showAll = flag.Bool("decisions", false, "print the per-tensor decisions")
+		asJSON  = flag.Bool("json", false, "emit machine-readable JSON")
+		export  = flag.String("export", "", "write the selected strategy to this file")
+		apply   = flag.String("apply", "", "evaluate a previously exported strategy instead of selecting")
 	)
-	var logf logx.Flags
-	logf.Register(nil)
-	flag.Parse()
-	log = logf.Logger()
+	jf := jobspec.Flags{Model: "bert-base", Cluster: "nvlink", Machines: 8, Algo: "randomk", Ratio: 0.01, JobFlag: true}
+	jf.Register(nil)
+	flag.Lookup("model").Usage = "model preset (vgg16, resnet101, ugatit, bert-base, gpt2, lstm)"
+	flag.Lookup("machines").Usage = "number of GPU machines"
+	flag.Lookup("algo").Usage = "GC algorithm (fp32, randomk, dgc, topk, efsignsgd, qsgd, terngrad)"
+	flag.Lookup("ratio").Usage = "sparsifier compression ratio"
+	log = logx.ParseFlags()
 
-	var job espresso.Job
-	if *jobFile != "" {
-		buf, err := os.ReadFile(*jobFile)
-		if err != nil {
-			fatal(err)
-		}
-		if err := json.Unmarshal(buf, &job); err != nil {
-			fatal(fmt.Errorf("parsing %s: %w", *jobFile, err))
-		}
-	} else {
-		job = espresso.Job{
-			Model:     espresso.ModelSpec{Preset: *modelF},
-			Cluster:   espresso.ClusterSpec{Preset: *clusterF, Machines: *machines, GPUsPerMachine: *gpus},
-			Algorithm: espresso.AlgorithmSpec{Name: *algo, Ratio: *ratio},
-		}
+	job, err := jf.Job()
+	if err != nil {
+		fatal(err)
 	}
 
 	var strategy *espresso.Strategy
@@ -75,11 +60,8 @@ func main() {
 		if report, err = espresso.Predict(job, strategy); err != nil {
 			fatal(err)
 		}
-	} else {
-		var err error
-		if strategy, report, err = espresso.Select(job); err != nil {
-			fatal(err)
-		}
+	} else if strategy, report, err = espresso.Select(job); err != nil {
+		fatal(err)
 	}
 	if *export != "" {
 		buf, err := strategy.Export()

@@ -26,214 +26,41 @@
 package espresso
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
-	"espresso/internal/baselines"
-	"espresso/internal/cluster"
-	"espresso/internal/compress"
 	"espresso/internal/core"
 	"espresso/internal/cost"
+	"espresso/internal/jobspec"
 	"espresso/internal/model"
-	"espresso/internal/par"
 	"espresso/internal/strategy"
 	"espresso/internal/timeline"
 )
 
-// TensorSpec describes one gradient tensor of a custom model, in backward
-// computation order.
-type TensorSpec struct {
-	Name      string  `json:"name"`
-	Elems     int     `json:"elems"`
-	ComputeUs float64 `json:"compute_us"`
-}
-
-// ModelSpec selects a benchmark model by preset name (vgg16, resnet101,
-// ugatit, bert-base, gpt2, lstm) or describes a custom model.
-type ModelSpec struct {
-	Preset string `json:"preset,omitempty"`
-
-	Name      string       `json:"name,omitempty"`
-	Tensors   []TensorSpec `json:"tensors,omitempty"`
-	ForwardUs float64      `json:"forward_us,omitempty"`
-	Batch     int          `json:"batch,omitempty"`
-	BatchUnit string       `json:"batch_unit,omitempty"`
-}
-
-// ClusterSpec selects a testbed preset ("nvlink" or "pcie") and the
-// machine count; fields beyond the preset override its defaults.
-type ClusterSpec struct {
-	Preset         string  `json:"preset"`
-	Machines       int     `json:"machines"`
-	GPUsPerMachine int     `json:"gpus_per_machine,omitempty"`
-	IntraGBps      float64 `json:"intra_gbps,omitempty"` // bytes/s in GB/s
-	InterGbps      float64 `json:"inter_gbps,omitempty"` // bits/s in Gbit/s
-	CPUCores       int     `json:"cpu_cores,omitempty"`
-}
-
-// AlgorithmSpec selects a GC algorithm (fp32, randomk, dgc, topk,
-// efsignsgd, qsgd, terngrad) and its parameters.
-type AlgorithmSpec struct {
-	Name   string  `json:"name"`
-	Ratio  float64 `json:"ratio,omitempty"`
-	Levels int     `json:"levels,omitempty"`
-}
-
-// Constraints prune the strategy search space, §4.2.2's user-facing
-// extension point (e.g. bounding compression rounds to limit
-// approximation error).
-type Constraints struct {
-	// MaxCompressionOps caps compression+decompression operations per
-	// tensor (0 = unlimited).
-	MaxCompressionOps int `json:"max_compression_ops,omitempty"`
-	// ForbidCPU restricts compression to GPUs.
-	ForbidCPU bool `json:"forbid_cpu,omitempty"`
-	// ForbidFlat restricts candidate options to hierarchical
-	// communication. The cluster's default uncompressed scheme remains
-	// admissible as the fallback for tensors left uncompressed.
-	ForbidFlat bool `json:"forbid_flat,omitempty"`
-}
-
-// Job is a DDL training job description — the three configuration inputs
-// of Figure 6, plus optional search-space constraints.
-type Job struct {
-	Model       ModelSpec     `json:"model"`
-	Cluster     ClusterSpec   `json:"cluster"`
-	Algorithm   AlgorithmSpec `json:"algorithm"`
-	Constraints Constraints   `json:"constraints,omitempty"`
-
-	// Parallelism is the worker count for the strategy search:
-	// independent F(S) evaluations (seed evaluations, per-tensor
-	// candidate probes) fan out over per-worker timeline engines. 0 or 1
-	// selects the sequential search; values below 0 select one worker
-	// per CPU. The selected strategy is identical at every setting —
-	// parallel ties are broken by candidate index, exactly as the
-	// sequential sweep breaks them.
-	Parallelism int `json:"parallelism,omitempty"`
-
-	// Explain enables the selection decision log: Report.Decisions gains
-	// one entry per tensor with every candidate's predicted iteration
-	// time against the final strategy, the winner, and its margin over
-	// the runner-up. The extra probes roughly double the evaluation
-	// count of a Select call, so it is opt-in.
-	Explain bool `json:"explain,omitempty"`
-}
-
-// workers resolves the job's Parallelism knob: n < 0 means GOMAXPROCS.
-func (j Job) workers() int {
-	if j.Parallelism < 0 {
-		return par.Workers(0)
-	}
-	return j.Parallelism
-}
-
-// resolved holds the internal representations of a Job.
-type resolved struct {
-	m    *model.Model
-	c    *cluster.Cluster
-	spec compress.Spec
-	cm   *cost.Models
-}
-
-func (j Job) resolve() (*resolved, error) {
-	m, err := j.Model.resolve()
-	if err != nil {
-		return nil, err
-	}
-	c, err := j.Cluster.resolve()
-	if err != nil {
-		return nil, err
-	}
-	id, err := compress.ParseID(j.Algorithm.Name)
-	if err != nil {
-		return nil, err
-	}
-	spec := compress.Spec{ID: id, Ratio: j.Algorithm.Ratio, Levels: j.Algorithm.Levels}
-	cm, err := cost.NewModels(c, spec)
-	if err != nil {
-		return nil, err
-	}
-	return &resolved{m: m, c: c, spec: spec, cm: cm}, nil
-}
-
-func (ms ModelSpec) resolve() (*model.Model, error) {
-	if ms.Preset != "" {
-		return model.ByName(ms.Preset)
-	}
-	if len(ms.Tensors) == 0 {
-		return nil, errors.New("espresso: model spec needs a preset or tensors")
-	}
-	m := &model.Model{
-		Name:      ms.Name,
-		Forward:   time.Duration(ms.ForwardUs * float64(time.Microsecond)),
-		Batch:     ms.Batch,
-		BatchUnit: ms.BatchUnit,
-	}
-	if m.Name == "" {
-		m.Name = "custom"
-	}
-	if m.Batch == 0 {
-		m.Batch = 1
-	}
-	if m.BatchUnit == "" {
-		m.BatchUnit = "samples"
-	}
-	for _, t := range ms.Tensors {
-		m.Tensors = append(m.Tensors, model.Tensor{
-			Name:    t.Name,
-			Elems:   t.Elems,
-			Compute: time.Duration(t.ComputeUs * float64(time.Microsecond)),
-		})
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-func (cs ClusterSpec) resolve() (*cluster.Cluster, error) {
-	machines := cs.Machines
-	if machines == 0 {
-		machines = 1
-	}
-	var c *cluster.Cluster
-	switch cs.Preset {
-	case "nvlink", "":
-		c = cluster.NVLinkTestbed(machines)
-	case "pcie":
-		c = cluster.PCIeTestbed(machines)
-	default:
-		return nil, fmt.Errorf("espresso: unknown cluster preset %q", cs.Preset)
-	}
-	if cs.GPUsPerMachine > 0 {
-		c.GPUsPerMachine = cs.GPUsPerMachine
-	}
-	if cs.IntraGBps > 0 {
-		c.IntraBandwidth = cs.IntraGBps * 1e9
-	}
-	if cs.InterGbps > 0 {
-		c.InterBandwidth = cs.InterGbps * 1e9 / 8
-	}
-	if cs.CPUCores > 0 {
-		c.CPUCores = cs.CPUCores
-	}
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-func (c Constraints) toFilters() []strategy.Constraint {
-	var cons []strategy.Constraint
-	if c.MaxCompressionOps > 0 {
-		cons = append(cons, strategy.MaxCompOps(c.MaxCompressionOps))
-	}
-	if c.ForbidFlat {
-		cons = append(cons, strategy.RequireHierarchical())
-	}
-	return cons
-}
+// The job description — the three configuration inputs of Figure 6. The
+// types live in internal/jobspec, which documents their fields and which
+// the command-line tools bind their job flags and -job files to.
+type (
+	// Job is a DDL training job: the three specs below, optional
+	// search-space Constraints, the search's Parallelism (0 or 1
+	// sequential, N workers, below 0 one per CPU — the selected strategy
+	// is identical at every setting) and the opt-in Explain decision log.
+	Job = jobspec.Job
+	// ModelSpec selects a benchmark model by Preset (vgg16, resnet101,
+	// ugatit, bert-base, gpt2, lstm) or describes a custom one by Tensors.
+	ModelSpec = jobspec.ModelSpec
+	// TensorSpec is one gradient tensor of a custom model, in backward order.
+	TensorSpec = jobspec.TensorSpec
+	// ClusterSpec selects a testbed Preset ("nvlink" or "pcie") and the
+	// machine count; the remaining fields override the preset.
+	ClusterSpec = jobspec.ClusterSpec
+	// AlgorithmSpec selects a GC algorithm (fp32, randomk, dgc, topk,
+	// efsignsgd, qsgd, terngrad) and its parameters.
+	AlgorithmSpec = jobspec.AlgorithmSpec
+	// Constraints prune the strategy search space (§4.2.2): a cap on
+	// compression operations per tensor, GPU-only, hierarchical-only.
+	Constraints = jobspec.Constraints
+)
 
 // Decision is the selected compression option for one tensor.
 type Decision struct {
@@ -265,7 +92,7 @@ func (s *Strategy) Export() ([]byte, error) {
 // against the job: the tensor count must match and every option must be
 // structurally valid for the job's cluster.
 func ImportStrategy(job Job, data []byte) (*Strategy, error) {
-	r, err := job.resolve()
+	r, err := job.Resolve()
 	if err != nil {
 		return nil, err
 	}
@@ -273,16 +100,16 @@ func ImportStrategy(job Job, data []byte) (*Strategy, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(inner.PerTensor) != len(r.m.Tensors) {
+	if len(inner.PerTensor) != len(r.Model.Tensors) {
 		return nil, fmt.Errorf("espresso: strategy covers %d tensors, model %s has %d",
-			len(inner.PerTensor), r.m.Name, len(r.m.Tensors))
+			len(inner.PerTensor), r.Model.Name, len(r.Model.Tensors))
 	}
 	for i, o := range inner.PerTensor {
-		if err := strategy.Check(o, r.c); err != nil {
+		if err := strategy.Check(o, r.Cluster); err != nil {
 			return nil, fmt.Errorf("espresso: tensor %d: %w", i, err)
 		}
 	}
-	return wrapStrategy(inner, r.m), nil
+	return wrapStrategy(inner, r.Model), nil
 }
 
 // Report summarizes a selection or prediction.
@@ -389,109 +216,72 @@ func wrapStrategy(s *strategy.Strategy, m *model.Model) *Strategy {
 	return out
 }
 
-func report(r *resolved, iter time.Duration) *Report {
+func report(r *jobspec.Resolved, iter time.Duration) *Report {
 	return &Report{
 		IterTime:      iter,
-		Throughput:    core.Throughput(r.m, r.c, iter),
-		ScalingFactor: core.ScalingFactor(r.m, r.c, iter),
-		Unit:          r.m.BatchUnit + "/s",
+		Throughput:    core.Throughput(r.Model, r.Cluster, iter),
+		ScalingFactor: core.ScalingFactor(r.Model, r.Cluster, iter),
+		Unit:          r.Model.BatchUnit + "/s",
 	}
 }
 
-// applyConstraints configures a selector with a job's search-space
-// constraints.
-func applyConstraints(sel *core.Selector, job Job, r *resolved) error {
-	if cons := job.Constraints.toFilters(); len(cons) > 0 {
-		opts := strategy.Filter(strategy.EnumerateGPU(r.c), cons...)
-		if len(opts) == 0 {
-			return errors.New("espresso: constraints eliminate every option")
-		}
-		sel.SetCandidates(opts)
+// predict reports inner's iteration time on the resolved job.
+func predict(r *jobspec.Resolved, inner *strategy.Strategy) (*Report, error) {
+	eng := timeline.New(r.Model, r.Cluster, r.Costs)
+	eng.RecordOps = false
+	iter, err := eng.IterTime(inner)
+	if err != nil {
+		return nil, err
 	}
-	if job.Constraints.ForbidCPU {
-		sel.SetDevices([]cost.Device{cost.GPU})
-	}
-	return nil
+	return report(r, iter), nil
 }
 
 // Select runs Espresso's decision algorithm (Algorithm 1 plus CPU
 // offloading) and returns the selected strategy with its predicted
 // performance.
 func Select(job Job) (*Strategy, *Report, error) {
-	r, err := job.resolve()
-	if err != nil {
-		return nil, nil, err
-	}
-	sel := core.NewSelector(r.m, r.c, r.cm)
-	sel.Parallelism = job.workers()
-	sel.Explain = job.Explain
-	if err := applyConstraints(sel, job, r); err != nil {
-		return nil, nil, err
-	}
-	s, rep, err := sel.Select()
-	if err != nil {
-		return nil, nil, err
-	}
-	out := report(r, rep.Iter)
-	out.SelectionTime = rep.SelectionTime
-	out.Evaluations = rep.Evals
-	out.CompressedTensors = rep.Compressed
-	out.OffloadedTensors = rep.Offloaded
-	out.Decisions = choices(rep.Decisions)
-	return wrapStrategy(s, r.m), out, nil
+	return SelectTraced(job, nil)
 }
 
 // BaselineName identifies a comparison system.
 type BaselineName string
 
 const (
-	FP32           BaselineName = "fp32"
-	HiPress        BaselineName = "hipress"
-	HiTopKComm     BaselineName = "hitopkcomm"
-	BytePSCompress BaselineName = "bytepscompress"
+	FP32           BaselineName = jobspec.FP32
+	HiPress        BaselineName = jobspec.HiPress
+	HiTopKComm     BaselineName = jobspec.HiTopKComm
+	BytePSCompress BaselineName = jobspec.BytePSCompress
 )
 
 // Baseline returns the strategy the named comparison system would run and
 // its predicted performance.
 func Baseline(name BaselineName, job Job) (*Strategy, *Report, error) {
-	r, err := job.resolve()
+	if name == jobspec.Espresso {
+		return nil, nil, fmt.Errorf("espresso: %q is not a baseline; use Select", name)
+	}
+	r, err := job.Resolve()
 	if err != nil {
 		return nil, nil, err
 	}
-	var sys baselines.System
-	switch name {
-	case FP32:
-		sys = baselines.FP32
-	case HiPress:
-		sys = baselines.HiPress
-	case HiTopKComm:
-		sys = baselines.HiTopKComm
-	case BytePSCompress:
-		sys = baselines.BytePSCompress
-	default:
-		return nil, nil, fmt.Errorf("espresso: unknown baseline %q", name)
-	}
-	s, err := baselines.Strategy(sys, r.m, r.c, r.cm)
+	s, _, err := r.Strategy(string(name), nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	eng := timeline.New(r.m, r.c, r.cm)
-	eng.RecordOps = false
-	iter, err := eng.IterTime(s)
+	rep, err := predict(r, s)
 	if err != nil {
 		return nil, nil, err
 	}
-	return wrapStrategy(s, r.m), report(r, iter), nil
+	return wrapStrategy(s, r.Model), rep, nil
 }
 
 // UpperBound predicts the throughput of compression-enabled training if
 // compression were free and contention-less (§5.1).
 func UpperBound(job Job) (*Report, error) {
-	r, err := job.resolve()
+	r, err := job.Resolve()
 	if err != nil {
 		return nil, err
 	}
-	iter, err := core.UpperBound(r.m, r.c, r.cm)
+	iter, err := core.UpperBound(r.Model, r.Cluster, r.Costs)
 	if err != nil {
 		return nil, err
 	}
@@ -501,31 +291,17 @@ func UpperBound(job Job) (*Report, error) {
 // Predict evaluates a strategy's iteration time for the job it was built
 // for.
 func Predict(job Job, s *Strategy) (*Report, error) {
-	r, err := job.resolve()
-	if err != nil {
-		return nil, err
-	}
-	if s.m.Name != r.m.Name || len(s.inner.PerTensor) != len(r.m.Tensors) {
-		return nil, fmt.Errorf("espresso: strategy was built for model %s (%d tensors), job has %s (%d)",
-			s.m.Name, len(s.inner.PerTensor), r.m.Name, len(r.m.Tensors))
-	}
-	eng := timeline.New(r.m, r.c, r.cm)
-	eng.RecordOps = false
-	iter, err := eng.IterTime(s.inner)
-	if err != nil {
-		return nil, err
-	}
-	return report(r, iter), nil
+	return PredictTraced(job, s, nil)
 }
 
 // Gantt derives the full timeline of one iteration under s and renders it
 // as a text Gantt chart.
 func Gantt(job Job, s *Strategy) (string, error) {
-	r, err := job.resolve()
+	r, err := job.Resolve()
 	if err != nil {
 		return "", err
 	}
-	eng := timeline.New(r.m, r.c, r.cm)
+	eng := timeline.New(r.Model, r.Cluster, r.Costs)
 	res, err := eng.Evaluate(s.inner)
 	if err != nil {
 		return "", err

@@ -151,9 +151,6 @@ func (r *Runner) Network() *netsim.Network { return r.nw }
 // Monitor exposes the degradation detector.
 func (r *Runner) Monitor() *Monitor { return r.monitor }
 
-// Clock is the cumulative virtual time across completed iterations.
-func (r *Runner) Clock() time.Duration { return r.clock }
-
 // ActiveCluster is the cluster restricted to the current membership —
 // the full cluster until a rank leaves. Data planes sized to the
 // topology (espresso-sim's DDL executor) rebuild when it changes.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -84,9 +85,10 @@ func TestSelectionTimingBreakdown(t *testing.T) {
 }
 
 // candidatesFor caches deduped option lists per tensor size
-// (dedupBySize), which is only sound if ChainKey depends on nothing but
-// the tensor's size. Verify across every paper model and every
-// enumerated option: same-size tensors always induce the same chain.
+// (dedupBySize), which is only sound if the chain signature depends on
+// nothing but the tensor's size. Verify across every paper model and
+// every enumerated option: same-size tensors always induce the same
+// chain.
 func TestChainKeyDependsOnlyOnTensorSize(t *testing.T) {
 	c := cluster.NVLinkTestbed(8)
 	cm := cost.MustModels(c, dgc())
@@ -102,17 +104,17 @@ func TestChainKeyDependsOnlyOnTensorSize(t *testing.T) {
 		}
 		for _, opt := range opts {
 			for _, group := range bySize {
-				want, err := eng.ChainKey(group[0], opt)
+				want, err := eng.AppendChainSig(group[0], opt, nil)
 				if err != nil {
 					t.Fatalf("%s: %v", m.Name, err)
 				}
 				for _, idx := range group[1:] {
-					got, err := eng.ChainKey(idx, opt)
+					got, err := eng.AppendChainSig(idx, opt, nil)
 					if err != nil {
 						t.Fatalf("%s: %v", m.Name, err)
 					}
-					if got != want {
-						t.Fatalf("%s: option %s: tensors %d and %d share size %d but chains differ:\n%s\nvs\n%s",
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s: option %s: tensors %d and %d share size %d but chains differ:\n%v\nvs\n%v",
 							m.Name, opt, group[0], idx, m.Tensors[idx].Elems, want, got)
 					}
 				}

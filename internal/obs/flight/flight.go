@@ -8,7 +8,7 @@
 //
 // A record is an anomaly when its outcome is an error, when it was a
 // Monitor-triggered re-selection (internal/chaos), or when its latency
-// exceeded LatencyFactor times the recorder's running EWMA of selection
+// exceeded three times the recorder's running EWMA of selection
 // latency. Anomalies live in their own ring so sustained normal traffic
 // cannot evict them; normal records rotate through the recent ring and
 // are additionally kept with reservoir probability in the sample ring,
@@ -45,55 +45,29 @@ const (
 	OutcomeReconfig Outcome = "reconfig"
 )
 
-// Config bounds a recorder. The zero value selects the defaults.
+// The recorder's bounds and thresholds.
+const (
+	recentCap  = 64 // recent ring size
+	anomalyCap = 32 // anomaly ring size
+	sampleSize = 16 // reservoir size
+	seed       = 1  // reservoir RNG seed
+	// latencyFactor is the slow-request threshold k: a record is
+	// anomalous when its latency exceeds k times the running EWMA, whose
+	// smoothing factor is ewmaAlpha.
+	latencyFactor = 3.0
+	ewmaAlpha     = 0.05
+	// warmup is how many records must complete before the latency
+	// threshold arms — the first requests of a cold process are all slow
+	// and would otherwise spam the anomaly ring.
+	warmup = 16
+)
+
+// Config configures a recorder.
 type Config struct {
-	// Capacity is the recent ring's size (default 64).
-	Capacity int
-	// AnomalyCapacity bounds the anomaly ring (default 32).
-	AnomalyCapacity int
-	// SampleSize is the reservoir's size (default 16).
-	SampleSize int
-	// Seed seeds the reservoir's RNG (default 1).
-	Seed uint64
-	// LatencyFactor is the slow-request threshold k: a record is
-	// anomalous when its latency exceeds k times the running EWMA
-	// (default 3). Values <= 1 select the default.
-	LatencyFactor float64
-	// EWMAAlpha is the EWMA smoothing factor in (0, 1] (default 0.05).
-	EWMAAlpha float64
-	// Warmup is how many records must complete before the latency
-	// threshold arms — the first requests of a cold process are all
-	// slow and would otherwise spam the anomaly ring (default 16).
-	Warmup int
 	// Metrics optionally receives the recorder's live series: the
 	// flight.anomalies counter and per-phase select.phase.<name>.wall_seconds
 	// histograms fed from each record's top-level spans.
 	Metrics *obs.Metrics
-}
-
-func (c Config) withDefaults() Config {
-	if c.Capacity <= 0 {
-		c.Capacity = 64
-	}
-	if c.AnomalyCapacity <= 0 {
-		c.AnomalyCapacity = 32
-	}
-	if c.SampleSize <= 0 {
-		c.SampleSize = 16
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.LatencyFactor <= 1 {
-		c.LatencyFactor = 3
-	}
-	if c.EWMAAlpha <= 0 || c.EWMAAlpha > 1 {
-		c.EWMAAlpha = 0.05
-	}
-	if c.Warmup <= 0 {
-		c.Warmup = 16
-	}
-	return c
 }
 
 // Record is one completed selection.
@@ -178,7 +152,7 @@ func NewRecord(req *wtrace.Req, fingerprint string, evals int64, latency time.Du
 // Recorder is the flight recorder. All methods are safe for concurrent
 // use; a nil *Recorder is the disabled state (Observe no-ops).
 type Recorder struct {
-	cfg Config
+	metrics *obs.Metrics
 
 	anomalies atomic.Int64 // all-time anomaly count
 	total     atomic.Int64 // all-time completed count
@@ -203,13 +177,12 @@ type Recorder struct {
 // counter is registered eagerly so the series exists from the first
 // scrape.
 func New(cfg Config) *Recorder {
-	cfg = cfg.withDefaults()
 	fr := &Recorder{
-		cfg:      cfg,
-		rng:      cfg.Seed,
-		recent:   make([]Record, cfg.Capacity),
-		anomRing: make([]Record, cfg.AnomalyCapacity),
-		sample:   make([]Record, 0, cfg.SampleSize),
+		metrics:  cfg.Metrics,
+		rng:      seed,
+		recent:   make([]Record, recentCap),
+		anomRing: make([]Record, anomalyCap),
+		sample:   make([]Record, 0, sampleSize),
 	}
 	if cfg.Metrics != nil {
 		cfg.Metrics.Counter("flight.anomalies")
@@ -250,14 +223,14 @@ func (fr *Recorder) Observe(rec Record) {
 		rec.Anomaly, rec.AnomalyReason = true, "reselect"
 	case rec.Outcome == OutcomeReconfig:
 		rec.Anomaly, rec.AnomalyReason = true, "reconfig"
-	case n > int64(fr.cfg.Warmup) && fr.ewmaUs > 0 && latUs > fr.cfg.LatencyFactor*fr.ewmaUs:
+	case n > warmup && fr.ewmaUs > 0 && latUs > latencyFactor*fr.ewmaUs:
 		rec.Anomaly = true
 		rec.AnomalyReason = fmt.Sprintf("latency %.1fx ewma (%.0fµs vs %.0fµs)", latUs/fr.ewmaUs, latUs, fr.ewmaUs)
 	}
 	if fr.ewmaUs == 0 {
 		fr.ewmaUs = latUs
 	} else {
-		fr.ewmaUs += fr.cfg.EWMAAlpha * (latUs - fr.ewmaUs)
+		fr.ewmaUs += ewmaAlpha * (latUs - fr.ewmaUs)
 	}
 
 	// Recent ring: every completion, oldest evicted first.
@@ -290,7 +263,7 @@ func (fr *Recorder) Observe(rec Record) {
 	}
 	fr.mu.Unlock()
 
-	if m := fr.cfg.Metrics; m != nil {
+	if m := fr.metrics; m != nil {
 		m.Counter("flight.records").Inc()
 		if rec.Anomaly {
 			m.Counter("flight.anomalies").Inc()
@@ -309,17 +282,6 @@ func (fr *Recorder) Complete(req *wtrace.Req, fingerprint string, evals int64, l
 		return
 	}
 	fr.Observe(NewRecord(req, fingerprint, evals, latency, outcome, err))
-}
-
-// Len reports how many records are currently retained (recent ring +
-// anomaly ring + reservoir, before dedup).
-func (fr *Recorder) Len() int {
-	if fr == nil {
-		return 0
-	}
-	fr.mu.Lock()
-	defer fr.mu.Unlock()
-	return fr.recentN + fr.anomN + len(fr.sample)
 }
 
 // Total reports how many records have ever been observed.
@@ -435,10 +397,10 @@ func (fr *Recorder) Snapshot() Dump {
 	ewma := fr.ewmaUs
 	fr.mu.Unlock()
 	d := Dump{
-		Capacity:        fr.cfg.Capacity,
-		AnomalyCapacity: fr.cfg.AnomalyCapacity,
-		SampleSize:      fr.cfg.SampleSize,
-		LatencyFactor:   fr.cfg.LatencyFactor,
+		Capacity:        recentCap,
+		AnomalyCapacity: anomalyCap,
+		SampleSize:      sampleSize,
+		LatencyFactor:   latencyFactor,
 		Total:           fr.Total(),
 		AnomalyTotal:    fr.AnomalyCount(),
 		EWMAUs:          ewma,

@@ -28,7 +28,7 @@ func TestNilRecorder(t *testing.T) {
 	var fr *Recorder
 	fr.Observe(mkRecord("x", time.Millisecond))
 	fr.Complete(nil, "fp", 0, time.Millisecond, OutcomeOK, nil)
-	if fr.Len() != 0 || fr.Total() != 0 || fr.AnomalyCount() != 0 {
+	if fr.Total() != 0 || fr.AnomalyCount() != 0 {
 		t.Fatal("nil recorder retained state")
 	}
 	if fr.Records() != nil || fr.Anomalies() != nil {
@@ -43,30 +43,32 @@ func TestNilRecorder(t *testing.T) {
 }
 
 // TestRecentRingEviction checks the last-N property: after M > N
-// observations the recent ring holds exactly the newest N.
+// observations the recent ring holds exactly the newest N, oldest
+// evicted first.
 func TestRecentRingEviction(t *testing.T) {
-	fr := New(Config{Capacity: 4, AnomalyCapacity: 2, SampleSize: 1})
-	for i := 0; i < 10; i++ {
+	const total = recentCap + 100
+	fr := New(Config{})
+	for i := 0; i < total; i++ {
 		fr.Observe(mkRecord(fmt.Sprintf("r%d", i), time.Millisecond))
 	}
-	if fr.Total() != 10 {
+	if fr.Total() != total {
 		t.Fatalf("Total = %d", fr.Total())
 	}
-	// r9..r6 must be retained via the recent ring; r0 must be gone from
-	// it (it can survive only via the 1-slot reservoir).
-	for i := 6; i < 10; i++ {
+	// The newest recentCap must be retained via the recent ring; older
+	// records can survive only via the reservoir.
+	for i := total - recentCap; i < total; i++ {
 		if _, ok := fr.Get(fmt.Sprintf("r%d", i)); !ok {
 			t.Fatalf("recent record r%d evicted early", i)
 		}
 	}
 	retained := 0
-	for i := 0; i < 6; i++ {
+	for i := 0; i < total-recentCap; i++ {
 		if _, ok := fr.Get(fmt.Sprintf("r%d", i)); ok {
 			retained++
 		}
 	}
-	if retained > 1 {
-		t.Fatalf("%d old records retained, reservoir admits at most 1", retained)
+	if retained > sampleSize {
+		t.Fatalf("%d old records retained, reservoir admits at most %d", retained, sampleSize)
 	}
 }
 
@@ -74,7 +76,7 @@ func TestRecentRingEviction(t *testing.T) {
 // errors and reselects, and that sustained normal traffic cannot evict
 // them from the anomaly ring.
 func TestErrorAlwaysAnomalous(t *testing.T) {
-	fr := New(Config{Capacity: 2, AnomalyCapacity: 8, SampleSize: 1})
+	fr := New(Config{})
 	errRec := mkRecord("boom", time.Millisecond)
 	errRec.Outcome = OutcomeError
 	errRec.Err = "synthetic"
@@ -85,26 +87,36 @@ func TestErrorAlwaysAnomalous(t *testing.T) {
 	fr.Observe(reRec)
 
 	// Flood with normal traffic far past every ring size.
-	for i := 0; i < 100; i++ {
+	for i := 0; i < 10*recentCap; i++ {
 		fr.Observe(mkRecord(fmt.Sprintf("n%d", i), time.Millisecond))
 	}
 
 	if fr.AnomalyCount() != 2 {
 		t.Fatalf("AnomalyCount = %d, want 2", fr.AnomalyCount())
 	}
-	got, ok := fr.Get("boom")
-	if !ok {
-		t.Fatal("error record evicted by normal traffic")
+	// Newest first, read from the anomaly ring itself: the reservoir
+	// may or may not still hold these two.
+	anoms := fr.Anomalies()
+	if len(anoms) != 2 || anoms[0].ID != "resel" || anoms[1].ID != "boom" {
+		t.Fatalf("anomaly ring after the flood = %+v, want [resel boom]", anoms)
 	}
-	if !got.Anomaly || got.AnomalyReason != "error" {
+	if got := anoms[1]; !got.Anomaly || got.AnomalyReason != "error" {
 		t.Fatalf("error record classified %q", got.AnomalyReason)
 	}
-	got, ok = fr.Get("resel")
-	if !ok {
-		t.Fatal("reselect record evicted by normal traffic")
-	}
-	if !got.Anomaly || got.AnomalyReason != "reselect" {
+	if got := anoms[0]; !got.Anomaly || got.AnomalyReason != "reselect" {
 		t.Fatalf("reselect record classified %q", got.AnomalyReason)
+	}
+
+	// Only newer anomalies displace them, oldest first.
+	for i := 0; i < anomalyCap-1; i++ {
+		rec := mkRecord(fmt.Sprintf("e%d", i), time.Millisecond)
+		rec.Outcome = OutcomeError
+		fr.Observe(rec)
+	}
+	anoms = fr.Anomalies()
+	if len(anoms) != anomalyCap || anoms[len(anoms)-1].ID != "resel" {
+		t.Fatalf("anomaly ring holds %d records ending at %s, want %d ending at resel (boom evicted)",
+			len(anoms), anoms[len(anoms)-1].ID, anomalyCap)
 	}
 }
 
@@ -112,8 +124,8 @@ func TestErrorAlwaysAnomalous(t *testing.T) {
 // normal; a k×-slower outlier after warmup is an anomaly, judged against
 // the pre-outlier EWMA.
 func TestLatencyAnomaly(t *testing.T) {
-	fr := New(Config{Capacity: 64, Warmup: 8, LatencyFactor: 3})
-	for i := 0; i < 20; i++ {
+	fr := New(Config{})
+	for i := 0; i < warmup+4; i++ {
 		fr.Observe(mkRecord(fmt.Sprintf("s%d", i), time.Millisecond))
 	}
 	if fr.AnomalyCount() != 0 {
@@ -135,25 +147,31 @@ func TestLatencyAnomaly(t *testing.T) {
 }
 
 // TestWarmupSuppression checks that the latency threshold stays dark for
-// the first Warmup records — a cold process's slow first selections are
-// not anomalies.
+// the first warmup records — a cold process's slow first selections are
+// not anomalies — and arms with the next one.
 func TestWarmupSuppression(t *testing.T) {
-	fr := New(Config{Warmup: 16})
+	fr := New(Config{})
 	fr.Observe(mkRecord("w0", time.Millisecond))
-	for i := 1; i < 10; i++ {
-		fr.Observe(mkRecord(fmt.Sprintf("w%d", i), 100*time.Millisecond))
+	for i := 1; i < warmup; i++ {
+		fr.Observe(mkRecord(fmt.Sprintf("w%d", i), time.Duration(100*i)*time.Millisecond))
 	}
 	if fr.AnomalyCount() != 0 {
 		t.Fatalf("warmup traffic produced %d anomalies", fr.AnomalyCount())
 	}
+	fr.Observe(mkRecord("armed", time.Hour))
+	if fr.AnomalyCount() != 1 {
+		t.Fatalf("first record past warmup not judged (count %d)", fr.AnomalyCount())
+	}
 }
 
 // TestSeededReservoirDeterminism replays the same stream into two
-// recorders with the same seed and requires identical reservoirs, then
-// checks a different seed eventually diverges.
+// recorders and requires identical reservoirs, then checks that the
+// reservoir really is a function of the RNG state: a different seed
+// diverges.
 func TestSeededReservoirDeterminism(t *testing.T) {
-	run := func(seed uint64) []string {
-		fr := New(Config{Capacity: 1, AnomalyCapacity: 1, SampleSize: 8, Seed: seed})
+	run := func(rng uint64) []string {
+		fr := New(Config{})
+		fr.rng = rng
 		for i := 0; i < 500; i++ {
 			fr.Observe(mkRecord(fmt.Sprintf("r%d", i), time.Millisecond))
 		}
@@ -165,11 +183,14 @@ func TestSeededReservoirDeterminism(t *testing.T) {
 		}
 		return ids
 	}
-	a, b := run(7), run(7)
+	a, b := run(seed), run(seed)
 	if fmt.Sprint(a) != fmt.Sprint(b) {
 		t.Fatalf("same seed diverged:\n%v\n%v", a, b)
 	}
-	if fmt.Sprint(a) == fmt.Sprint(run(8)) {
+	if len(a) != sampleSize {
+		t.Fatalf("reservoir holds %d records, want %d", len(a), sampleSize)
+	}
+	if fmt.Sprint(a) == fmt.Sprint(run(seed+7)) {
 		t.Fatal("different seeds produced identical reservoirs")
 	}
 }
@@ -262,7 +283,7 @@ func TestSnapshotJSON(t *testing.T) {
 
 // TestRecordsNewestFirst checks listing order and dedup across rings.
 func TestRecordsNewestFirst(t *testing.T) {
-	fr := New(Config{Capacity: 8})
+	fr := New(Config{})
 	base := time.Now()
 	for i := 0; i < 5; i++ {
 		rec := mkRecord(fmt.Sprintf("r%d", i), time.Millisecond)

@@ -121,7 +121,7 @@ func TestFlightNotMountedWithoutRecorder(t *testing.T) {
 // -race in CI's test job).
 func TestFlightScrapeUnderLoad(t *testing.T) {
 	m := obs.NewMetrics()
-	fr := flight.New(flight.Config{Capacity: 8, AnomalyCapacity: 4, SampleSize: 4})
+	fr := flight.New(flight.Config{})
 	tr := wtrace.New()
 	s := startFlightServer(t, m, fr)
 

@@ -22,9 +22,9 @@ func (s Span) Queued() time.Duration { return s.Start - s.Ready }
 //
 // FIFO supports two usage styles. Reserve is the synchronous analytic
 // style: given a ready time it immediately computes the span the job will
-// occupy, without involving the event engine — the style the timeline
-// engine uses for fast F(S) evaluation. Submit is the event-driven style:
-// the completion callback fires through the engine at the span's end.
+// occupy, without involving the event engine. Submit is the event-driven
+// style netsim's links use: the completion callback fires through the
+// engine at the span's end.
 type FIFO struct {
 	Name  string
 	eng   *Engine
@@ -104,73 +104,4 @@ func (f *FIFO) Gaps() []Span {
 		}
 	}
 	return gaps
-}
-
-// Pool is a resource with c identical servers; jobs are dispatched to the
-// earliest-free server in submission order. It models a host-side
-// compression worker pool.
-type Pool struct {
-	Name    string
-	eng     *Engine
-	servers []time.Duration
-	spans   []Span
-	busy    time.Duration
-}
-
-// NewPool returns a pool with c servers. c must be positive.
-func NewPool(eng *Engine, name string, c int) *Pool {
-	if c <= 0 {
-		panic(fmt.Sprintf("sim: pool %s needs at least one server, got %d", name, c))
-	}
-	return &Pool{Name: name, eng: eng, servers: make([]time.Duration, c)}
-}
-
-// Reserve books dur on the earliest-free server for a job ready at ready.
-func (p *Pool) Reserve(label string, ready, dur time.Duration) Span {
-	if dur < 0 {
-		panic(fmt.Sprintf("sim: negative duration %v on %s", dur, p.Name))
-	}
-	best := 0
-	for i, free := range p.servers {
-		if free < p.servers[best] {
-			best = i
-		}
-	}
-	start := ready
-	if p.servers[best] > start {
-		start = p.servers[best]
-	}
-	sp := Span{Label: label, Ready: ready, Start: start, End: start + dur}
-	p.servers[best] = sp.End
-	p.busy += dur
-	p.spans = append(p.spans, sp)
-	return sp
-}
-
-// Submit books the job like Reserve and schedules done at completion.
-func (p *Pool) Submit(label string, ready, dur time.Duration, done func(Span)) Span {
-	sp := p.Reserve(label, ready, dur)
-	if done != nil {
-		if p.eng == nil {
-			panic("sim: Submit with callback on detached Pool " + p.Name)
-		}
-		p.eng.Schedule(sp.End, func() { done(sp) })
-	}
-	return sp
-}
-
-// Busy reports accumulated service time across all servers.
-func (p *Pool) Busy() time.Duration { return p.busy }
-
-// Spans returns a copy of the reservation history in submission order;
-// see FIFO.Spans for the ownership and Reset contract.
-func (p *Pool) Spans() []Span { return append([]Span(nil), p.spans...) }
-
-// Reset clears all reservations.
-func (p *Pool) Reset() {
-	for i := range p.servers {
-		p.servers[i] = 0
-	}
-	p.busy = 0
-	p.spans = p.spans[:0]
 }

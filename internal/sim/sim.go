@@ -1,7 +1,9 @@
 // Package sim provides a small deterministic discrete-event simulation
-// kernel. It is the substrate under both the analytic timeline engine and
-// the executable DDL engine: simulated entities schedule callbacks at
-// virtual times and serialize work on FIFO resources.
+// kernel: simulated entities schedule callbacks at virtual times (Engine)
+// and serialize work on single-server resources (FIFO). Its user is the
+// message-level network simulator, internal/netsim, whose links are FIFOs
+// on one Engine; internal/timeline runs its own event loop and shares
+// only the Span record type.
 //
 // The kernel is intentionally minimal: a monotonically advancing virtual
 // clock, a priority queue of events, and resources that grant exclusive

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -127,47 +126,12 @@ func TestFIFOSubmitFiresCallback(t *testing.T) {
 	}
 }
 
-func TestPoolRunsJobsConcurrently(t *testing.T) {
-	p := NewPool(nil, "cpu", 2)
-	a := p.Reserve("a", 0, 10*time.Millisecond)
-	b := p.Reserve("b", 0, 10*time.Millisecond)
-	c := p.Reserve("c", 0, 10*time.Millisecond)
-	if a.Start != 0 || b.Start != 0 {
-		t.Fatalf("a,b should start immediately: %v %v", a, b)
-	}
-	if c.Start != 10*time.Millisecond {
-		t.Fatalf("c.Start = %v, want 10ms", c.Start)
-	}
-}
-
-func TestPoolSingleServerMatchesFIFO(t *testing.T) {
-	p := NewPool(nil, "cpu", 1)
-	f := NewFIFO(nil, "cpu")
-	rng := rand.New(rand.NewSource(42))
-	ready := time.Duration(0)
-	for i := 0; i < 100; i++ {
-		ready += time.Duration(rng.Intn(5)) * time.Millisecond
-		dur := time.Duration(rng.Intn(10)) * time.Millisecond
-		ps := p.Reserve("j", ready, dur)
-		fs := f.Reserve("j", ready, dur)
-		if ps != fs {
-			t.Fatalf("job %d: pool %+v != fifo %+v", i, ps, fs)
-		}
-	}
-}
-
 func TestResetRestoresIdle(t *testing.T) {
 	f := NewFIFO(nil, "x")
 	f.Reserve("a", 0, time.Second)
 	f.Reset()
 	if f.Free() != 0 || f.Busy() != 0 || len(f.Spans()) != 0 {
 		t.Fatal("reset did not clear state")
-	}
-	p := NewPool(nil, "y", 3)
-	p.Reserve("a", 0, time.Second)
-	p.Reset()
-	if p.Busy() != 0 || len(p.Spans()) != 0 {
-		t.Fatal("pool reset did not clear state")
 	}
 }
 
@@ -299,14 +263,6 @@ func TestSpansReturnsCopy(t *testing.T) {
 	spans := f.Spans()
 	if len(spans) != 2 || spans[1].Label != "b" {
 		t.Fatalf("spans = %+v, want [a b]", spans)
-	}
-
-	p := NewPool(nil, "y", 2)
-	p.Reserve("a", 0, time.Millisecond)
-	ps := p.Spans()
-	ps[0].Label = "mutated"
-	if p.Spans()[0].Label != "a" {
-		t.Fatal("Pool.Spans aliases internal storage")
 	}
 }
 

@@ -2,15 +2,13 @@ package timeline
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"time"
 
 	"espresso/internal/cost"
 	"espresso/internal/strategy"
 )
 
-// chain interprets a compression option for tensor idx into the sequence
+// chainInto interprets a compression option for tensor idx into the sequence
 // of resource jobs it induces, tracking how the payload evolves:
 //
 //   - perGPU: the fraction of the tensor each active GPU holds/processes;
@@ -22,11 +20,8 @@ import (
 //   - copies: how many same-region compressed payloads are in flight
 //     (an indivisible allgather multiplies copies; decompression folds
 //     them back into one dense region).
-func (e *Engine) chain(idx int, opt strategy.Option) ([]jobSpec, error) {
-	return e.chainInto(idx, opt, nil)
-}
-
-// chainInto is chain appending into a reusable slice.
+//
+// The jobs are appended to the (reusable) slice passed in.
 func (e *Engine) chainInto(idx int, opt strategy.Option, jobs []jobSpec) ([]jobSpec, error) {
 	if err := strategy.Check(opt, e.C); err != nil {
 		return nil, fmt.Errorf("tensor %d: %w", idx, err)
@@ -196,7 +191,7 @@ type CommStep struct {
 func (e *Engine) CommSteps(idx int, opt strategy.Option) ([]CommStep, error) {
 	var steps []CommStep
 	e.commSink = &steps
-	_, err := e.chain(idx, opt)
+	_, err := e.chainInto(idx, opt, nil)
 	e.commSink = nil
 	if err != nil {
 		return nil, err
@@ -216,29 +211,10 @@ func (e *Engine) scratchChain(idx int, opt strategy.Option) ([]jobSpec, error) {
 	return jobs, nil
 }
 
-// ChainKey returns a canonical string of the job chain an option induces
-// for tensor idx, with durations quantized to the microsecond — chains
-// that agree at that granularity are indistinguishable to any decision
-// the scheduler makes at DDL timescales.
-func (e *Engine) ChainKey(idx int, opt strategy.Option) (string, error) {
-	jobs, err := e.scratchChain(idx, opt)
-	if err != nil {
-		return "", err
-	}
-	var b strings.Builder
-	b.Grow(16 * len(jobs))
-	for _, j := range jobs {
-		b.WriteString(strconv.Itoa(int(j.res)))
-		b.WriteByte(':')
-		b.WriteString(strconv.FormatInt(int64(j.dur.Round(time.Microsecond)), 10))
-		b.WriteByte(';')
-	}
-	return b.String(), nil
-}
-
 // ChainSig is one element of a chain signature: the resource and
-// µs-quantized duration of a job, the same equivalence ChainKey encodes
-// as a string. Candidate deduplication compares signatures structurally
+// µs-quantized duration of a job — chains that agree at that granularity
+// are indistinguishable to any decision the scheduler makes at DDL
+// timescales. Candidate deduplication compares signatures structurally
 // because the greedy search re-derives them per tensor size per
 // selection — string keys would put allocation and formatting on that
 // path for no extra information.

@@ -42,7 +42,7 @@ func at10GBps(bytes float64) time.Duration {
 
 func chainDurations(t *testing.T, e *Engine, opt strategy.Option) []time.Duration {
 	t.Helper()
-	jobs, err := e.chain(0, opt)
+	jobs, err := e.chainInto(0, opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestChainCompressedInterHandMath(t *testing.T) {
 		{Act: strategy.Comm, Routine: strategy.Allgather, Scope: strategy.Intra, Compressed: true, Second: true},
 		{Act: strategy.Decomp},
 	}}
-	jobs, err := e.chain(0, opt)
+	jobs, err := e.chainInto(0, opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestChainCPUStaging(t *testing.T) {
 		{Act: strategy.Decomp, Dev: cost.CPU},
 		{Act: strategy.Comm, Routine: strategy.Allgather, Scope: strategy.Intra, Second: true},
 	}}
-	jobs, err := e.chain(0, opt)
+	jobs, err := e.chainInto(0, opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestChainZeroCompression(t *testing.T) {
 		{Act: strategy.Comm, Routine: strategy.Allgather, Scope: strategy.Flat, Compressed: true},
 		{Act: strategy.Decomp, Dev: cost.CPU},
 	}}
-	jobs, err := e.chain(0, opt)
+	jobs, err := e.chainInto(0, opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func TestSingleTensorSerializationIdentity(t *testing.T) {
 	e := New(m, c, cm)
 	e.RecordOps = false
 	for _, opt := range strategy.Enumerate(c) {
-		jobs, err := e.chain(0, opt)
+		jobs, err := e.chainInto(0, opt, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func TestIterBoundsProperty(t *testing.T) {
 		var serial time.Duration = m.Forward + m.Backward()
 		for i := 0; i < n; i++ {
 			s.PerTensor[i] = opts[int(picks[i])%len(opts)]
-			jobs, err := e.chain(i, s.PerTensor[i])
+			jobs, err := e.chainInto(i, s.PerTensor[i], nil)
 			if err != nil {
 				return false
 			}

@@ -80,18 +80,6 @@ type Result struct {
 	ResBusy [numResources]time.Duration
 }
 
-// CommOps returns the communication operations on res in start order
-// (single-server resources complete in start order).
-func (r *Result) CommOps(res Resource) []Op {
-	var ops []Op
-	for _, op := range r.Ops {
-		if op.Res == res && op.Step >= 0 {
-			ops = append(ops, op)
-		}
-	}
-	return ops
-}
-
 // BottleneckComm returns the network resource with the most service time
 // — the "communication timeline" of the paper's figures. Hierarchical
 // jobs are usually NIC-bound; single-machine jobs are interconnect-bound.
@@ -123,7 +111,7 @@ func (r *Result) TensorsBeforeBubbles() map[int]bool {
 func (r *Result) AppendBubbleTensors(res Resource, dst []int) []int {
 	// Ops are ordered by completion, and a single-server resource
 	// completes in start order, so streaming the resource's comm ops
-	// pairs each one with its successor exactly as CommOps would.
+	// pairs each one with its successor.
 	have := false
 	var prev Op
 	for _, op := range r.Ops {
@@ -207,7 +195,7 @@ type Engine struct {
 	// decision algorithm's inner loop runs tens of thousands of probes
 	// per selection and must not allocate per probe.
 	resScratch Result
-	// jobScratch backs ChainKey/CommTime/CompTime chain derivations.
+	// jobScratch backs CommTime/CompTime chain derivations.
 	jobScratch []jobSpec
 
 	// Observe's span-name caches, keyed by content (tensor, step, and

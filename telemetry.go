@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"espresso/internal/core"
+	"espresso/internal/jobspec"
 	"espresso/internal/obs"
 	"espresso/internal/timeline"
 )
@@ -45,38 +45,36 @@ func (t *Telemetry) Reset() {
 }
 
 // observe replays a strategy's derived timeline into the collector.
-func (t *Telemetry) observe(r *resolved, s *Strategy) error {
-	eng := timeline.New(r.m, r.c, r.cm)
+func (t *Telemetry) observe(r *jobspec.Resolved, s *Strategy) error {
+	eng := timeline.New(r.Model, r.Cluster, r.Costs)
 	res, err := eng.Evaluate(s.inner)
-	if err != nil {
-		return err
+	if err == nil {
+		err = eng.Observe(t.trace, t.metrics, res, s.inner)
 	}
-	return eng.Observe(t.trace, t.metrics, res, s.inner)
+	if err != nil {
+		return fmt.Errorf("espresso: telemetry: %w", err)
+	}
+	return nil
 }
 
 // SelectTraced is Select with telemetry: the strategy search publishes
 // its effort into tel's metrics (search.* series), and the selected
 // strategy's derived timeline lands in tel's trace — one span per
-// compute/encode/collective/decode/offload operation per rank.
+// compute/encode/collective/decode/offload operation per rank. A nil tel
+// is plain Select.
 func SelectTraced(job Job, tel *Telemetry) (*Strategy, *Report, error) {
-	if tel == nil {
-		return Select(job)
+	var metrics *obs.Metrics
+	if tel != nil {
+		// Wall clock, not virtual time: api.* series observe the
+		// process's own performance.
+		defer tel.metrics.Timer("api.select.wall_seconds")()
+		metrics = tel.metrics
 	}
-	// Wall clock, not virtual time: api.* series observe the process's
-	// own performance.
-	defer tel.metrics.Timer("api.select.wall_seconds")()
-	r, err := job.resolve()
+	r, err := job.Resolve()
 	if err != nil {
 		return nil, nil, err
 	}
-	sel := core.NewSelector(r.m, r.c, r.cm)
-	sel.Parallelism = job.workers()
-	sel.Explain = job.Explain
-	sel.Obs = tel.metrics
-	if err := applyConstraints(sel, job, r); err != nil {
-		return nil, nil, err
-	}
-	s, rep, err := sel.Select()
+	s, rep, err := r.Strategy(jobspec.Espresso, metrics)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -86,30 +84,37 @@ func SelectTraced(job Job, tel *Telemetry) (*Strategy, *Report, error) {
 	out.CompressedTensors = rep.Compressed
 	out.OffloadedTensors = rep.Offloaded
 	out.Decisions = choices(rep.Decisions)
-	wrapped := wrapStrategy(s, r.m)
-	if err := tel.observe(r, wrapped); err != nil {
-		return nil, nil, fmt.Errorf("espresso: telemetry: %w", err)
+	wrapped := wrapStrategy(s, r.Model)
+	if tel != nil {
+		if err := tel.observe(r, wrapped); err != nil {
+			return nil, nil, err
+		}
 	}
 	return wrapped, out, nil
 }
 
 // PredictTraced is Predict with telemetry: the strategy's derived
-// timeline is replayed into tel alongside the performance report.
+// timeline is replayed into tel alongside the performance report. A nil
+// tel is plain Predict.
 func PredictTraced(job Job, s *Strategy, tel *Telemetry) (*Report, error) {
 	if tel != nil {
 		defer tel.metrics.Timer("api.predict.wall_seconds")()
 	}
-	rep, err := Predict(job, s)
+	r, err := job.Resolve()
+	if err != nil {
+		return nil, err
+	}
+	if s.m.Name != r.Model.Name || len(s.inner.PerTensor) != len(r.Model.Tensors) {
+		return nil, fmt.Errorf("espresso: strategy was built for model %s (%d tensors), job has %s (%d)",
+			s.m.Name, len(s.inner.PerTensor), r.Model.Name, len(r.Model.Tensors))
+	}
+	rep, err := predict(r, s.inner)
 	if err != nil {
 		return nil, err
 	}
 	if tel != nil {
-		r, err := job.resolve()
-		if err != nil {
-			return nil, err
-		}
 		if err := tel.observe(r, s); err != nil {
-			return nil, fmt.Errorf("espresso: telemetry: %w", err)
+			return nil, err
 		}
 	}
 	return rep, nil
