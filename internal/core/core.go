@@ -30,8 +30,11 @@ type Report struct {
 	Alg1Time      time.Duration
 	OffloadTime   time.Duration
 
-	// Evals counts timeline evaluations F(S).
-	Evals int
+	// Evals counts candidate strategies judged: run on the timeline,
+	// dismissed because timeline.Engine.LowerBound already reached the
+	// incumbent (bounded), or known unchanged since their last run.
+	Evals              int
+	bounded, unchanged int
 	// Candidates is |C_gpu|, the per-tensor GPU option set size.
 	Candidates int
 	// OffloadSearch is the size of Algorithm 2's search space,
@@ -144,6 +147,46 @@ type Selector struct {
 	// wwin is the reusable per-worker window scratch of eachTraced, so
 	// traced parallel fan-outs allocate nothing per probe position.
 	wwin []workerWindow
+
+	// variants is onDevice's cache, per device by Steps array.
+	variants [2]map[*strategy.Step]variant
+
+	// runAll is the differential tests' hook: judge nothing by bound or
+	// stamp, run every candidate on the timeline.
+	runAll bool
+}
+
+// unbounded is both the incumbent that dismisses nothing (no bound
+// reaches it) and the iteration time recorded for a dismissed candidate
+// (no incumbent exceeds it).
+const unbounded = time.Duration(math.MaxInt64)
+
+// reaches reports whether eng's loaded configuration provably cannot
+// undercut best: its closed-form lower bound is already there.
+func (sel *Selector) reaches(eng *timeline.Engine, best time.Duration) bool {
+	return !sel.runAll && eng.LowerBound() >= best
+}
+
+// variant pairs a device placement with the option it was made from,
+// which keeps the Steps array the key points at alive, its address unique.
+type variant struct{ from, to strategy.Option }
+
+// onDevice is o.WithDevice(dev), returning one Option value per (o, dev)
+// for the selector's lifetime: the engine memoizes chains by the Steps
+// array's identity, so a fresh copy per call re-derives its chain.
+func (sel *Selector) onDevice(o strategy.Option, dev cost.Device) strategy.Option {
+	if !o.Compressed() || o.AllOn(dev) {
+		return o
+	}
+	v, ok := sel.variants[dev][&o.Steps[0]]
+	if !ok {
+		if sel.variants[dev] == nil {
+			sel.variants[dev] = make(map[*strategy.Step]variant)
+		}
+		v = variant{o, o.WithDevice(dev)}
+		sel.variants[dev][&o.Steps[0]] = v
+	}
+	return v.to
 }
 
 // NewSelector builds a selector with the full GPU candidate set C_gpu.
@@ -212,8 +255,10 @@ func (sel *Selector) Select() (*strategy.Strategy, *Report, error) {
 }
 
 // SelectFrom is Select warm-started with a prior strategy: the sweep's
-// seed is the better of prior and the standard seed family, so under the
-// selector's cost models the result is never worse than prior. The
+// seed is the better of prior and the standard seed family (prior's F(S)
+// is the incumbent the family is judged against, so a good prior bounds
+// most of it away), and under the selector's cost models the result is
+// never worse than prior. The
 // degradation controller relies on this when re-selecting on a degraded
 // topology — switching away from the incumbent only ever helps.
 func (sel *Selector) SelectFrom(prior *strategy.Strategy) (*strategy.Strategy, *Report, error) {
@@ -239,16 +284,9 @@ func (sel *Selector) selectFrom(prior *strategy.Strategy) (*strategy.Strategy, *
 	// flight recorder's per-phase breakdown relies on.
 	spSeed := tr.Begin(wtrace.NoParent, "seed")
 	seedEvals := rep.Evals
-	seed, err := sel.bestSeed(rep, spSeed)
+	seed, err := sel.bestSeed(prior, rep, spSeed)
 	if err != nil {
 		return nil, nil, err
-	}
-	if prior != nil {
-		// Prior goes first: bestOf breaks ties by lowest index, so the
-		// incumbent wins unless a seed is strictly better.
-		if seed, _, err = sel.bestOf([]*strategy.Strategy{prior.Clone(), seed}, rep, spSeed); err != nil {
-			return nil, nil, err
-		}
 	}
 	tr.EndEvals(spSeed, int64(rep.Evals-seedEvals))
 
@@ -293,6 +331,8 @@ func (sel *Selector) selectFrom(prior *strategy.Strategy) (*strategy.Strategy, *
 	}
 	sel.lastRemoved = primaryRemoved
 	rep.Evals += altRep.Evals
+	rep.bounded += altRep.bounded
+	rep.unchanged += altRep.unchanged
 	if alt != nil {
 		sIter, err := sel.iter(s, rep)
 		if err != nil {
@@ -345,6 +385,9 @@ func (sel *Selector) publish(rep *Report) {
 	}
 	mx.Counter("search.selections").Inc()
 	mx.Counter("search.evals").Add(int64(rep.Evals))
+	mx.Counter("search.evals_run").Add(int64(rep.Evals - rep.bounded - rep.unchanged))
+	mx.Counter("search.evals_bounded").Add(int64(rep.bounded))
+	mx.Counter("search.evals_unchanged").Add(int64(rep.unchanged))
 	mx.Counter("search.ruled_out").Add(int64(rep.Ruled))
 	mx.Gauge("search.candidates").Set(float64(rep.Candidates))
 	mx.Gauge("search.offload_space").Set(float64(rep.OffloadSearch))
@@ -509,7 +552,7 @@ func (sel *Selector) Algorithm1(rep *Report) (*strategy.Strategy, error) {
 	if rep == nil {
 		rep = &Report{}
 	}
-	seed, err := sel.bestSeed(rep, wtrace.NoParent)
+	seed, err := sel.bestSeed(nil, rep, wtrace.NoParent)
 	if err != nil {
 		return nil, err
 	}
@@ -522,8 +565,10 @@ func (sel *Selector) Algorithm1(rep *Report) (*strategy.Strategy, error) {
 // τ-selective strategy (compress exactly the tensors whose wall-clock
 // saving exceeds the wall-clock cost) — HiPress, HiTopKComm, and
 // BytePS-Compress are all members, so the monotone sweep's result
-// dominates them by construction.
-func (sel *Selector) bestSeed(rep *Report, parent int) (*strategy.Strategy, error) {
+// dominates them by construction. A non-nil prior (SelectFrom) is
+// evaluated first: bestOf breaks ties by lowest index, so the incumbent
+// wins unless a seed is strictly better.
+func (sel *Selector) bestSeed(prior *strategy.Strategy, rep *Report, parent int) (*strategy.Strategy, error) {
 	n := len(sel.M.Tensors)
 	plain := strategy.NoCompression(sel.C)
 	plainComm := make([]time.Duration, n)
@@ -535,7 +580,15 @@ func (sel *Selector) bestSeed(rep *Report, parent int) (*strategy.Strategy, erro
 		plainComm[i] = d
 	}
 
-	seeds := []*strategy.Strategy{strategy.Uniform(n, plain)}
+	var seeds []*strategy.Strategy
+	if prior != nil {
+		seeds = append(seeds, prior.Clone())
+		// Comparing prior with the family's winner judges that winner a
+		// second time; its F(S) is known.
+		rep.Evals++
+		rep.unchanged++
+	}
+	seeds = append(seeds, strategy.Uniform(n, plain))
 	myopic := strategy.Uniform(n, plain)
 	myopicCost := append([]time.Duration(nil), plainComm...)
 	for _, shape := range sel.candidates {
@@ -543,7 +596,7 @@ func (sel *Selector) bestSeed(rep *Report, parent int) (*strategy.Strategy, erro
 			continue
 		}
 		for _, dev := range sel.devices {
-			o := shape.WithDevice(dev)
+			o := sel.onDevice(shape, dev)
 			uniform := strategy.Uniform(n, o)
 			selective := strategy.Uniform(n, plain)
 			for i := 0; i < n; i++ {
@@ -568,8 +621,7 @@ func (sel *Selector) bestSeed(rep *Report, parent int) (*strategy.Strategy, erro
 	}
 	seeds = append(seeds, myopic)
 
-	best, _, err := sel.bestOf(seeds, rep, parent)
-	return best, err
+	return sel.bestOf(seeds, rep, parent)
 }
 
 // compressedSearch runs the selection pipeline with the candidate set
@@ -597,10 +649,10 @@ func (sel *Selector) compressedSearch(rep *Report, parent int) (*strategy.Strate
 	var seeds []*strategy.Strategy
 	for _, o := range compressed {
 		for _, dev := range sel.devices {
-			seeds = append(seeds, strategy.Uniform(n, o.WithDevice(dev)))
+			seeds = append(seeds, strategy.Uniform(n, sel.onDevice(o, dev)))
 		}
 	}
-	seed, _, err := sel.bestOf(seeds, rep, parent)
+	seed, err := sel.bestOf(seeds, rep, parent)
 	if err != nil {
 		return nil, err
 	}
@@ -712,6 +764,13 @@ func (sel *Selector) sweepFrom(s *strategy.Strategy, rep *Report, parent int) (*
 	var probes []strategy.Option
 	var iters []time.Duration
 	order := sel.order()
+	// The loop re-sweeps until a fixed point, so positions are revisited
+	// with nothing accepted since their last probe: same remainder, same
+	// best, hence no candidate below best. changes counts accepted
+	// changes (from 1) and stamp[idx] is its value when idx was last
+	// decided (0: never).
+	changes := 1
+	stamp := make([]int, len(order))
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		changed := false
 		spPass := tr.Begin(parent, "pass")
@@ -742,7 +801,10 @@ func (sel *Selector) sweepFrom(s *strategy.Strategy, rep *Report, parent int) (*
 			if tr != nil {
 				tsp = tr.BeginTensor(spPass, "probe", idx)
 			}
-			if err := sel.probePosition(engines, idx, probes, iters, tsp); err != nil {
+			if !sel.runAll && stamp[idx] == changes {
+				rep.unchanged += len(probes)
+				iters = iters[:0]
+			} else if err := sel.probePosition(engines, idx, probes, iters, best, tsp); err != nil {
 				return nil, err
 			}
 			rep.Evals += len(probes)
@@ -752,7 +814,9 @@ func (sel *Selector) sweepFrom(s *strategy.Strategy, rep *Report, parent int) (*
 
 			bestOpt, improved := cur, false
 			for i, it := range iters {
-				if it < best {
+				if it == unbounded {
+					rep.bounded++
+				} else if it < best {
 					best = it
 					bestOpt = probes[i]
 					improved = true
@@ -771,10 +835,14 @@ func (sel *Selector) sweepFrom(s *strategy.Strategy, rep *Report, parent int) (*
 			// removeBeforeBubbles leaves the engine prepared with s.
 			if improved {
 				changed = true
+				changes++
 				if err := sel.removeBeforeBubbles(s, removed, rep); err != nil {
 					return nil, err
 				}
 			}
+			// Also right after an accepted change: every other candidate
+			// here was just judged not below the new best.
+			stamp[idx] = changes
 		}
 		tr.EndEvals(spPass, int64(rep.Evals-passEvals))
 		if !changed {

@@ -64,8 +64,9 @@ type TensorDecision struct {
 
 // explainDecisions populates rep.Decisions for the final strategy s. It
 // runs only when sel.Explain is set; the probes fan out over the engine
-// pool like any other F(S) evaluation and are counted in rep.Evals. The
-// pool is left prepared with s.
+// pool like any other F(S) evaluation and are counted in rep.Evals, but
+// every one is run (unbounded): the log reports exact iteration times.
+// The pool is left prepared with s.
 func (sel *Selector) explainDecisions(s *strategy.Strategy, rep *Report, parent int) error {
 	if !sel.Explain {
 		return nil
@@ -135,7 +136,7 @@ func (sel *Selector) explainDecisions(s *strategy.Strategy, rep *Report, parent 
 		if tr != nil {
 			tsp = tr.BeginTensor(spExplain, "re-probe", idx)
 		}
-		if err := sel.probePosition(engines, idx, probes, iters, tsp); err != nil {
+		if err := sel.probePosition(engines, idx, probes, iters, unbounded, tsp); err != nil {
 			return err
 		}
 		rep.Evals += len(probes)

@@ -126,29 +126,13 @@ func (sel *Selector) offloadCPU(s *strategy.Strategy, rep *Report, parent int) (
 	return best, nil
 }
 
-// offloadVariants precomputes each grouped tensor's CPU- and GPU-placed
-// option once. The probe loops below assign the same few placements tens
-// of thousands of times; reusing one Option value per (tensor, device)
-// lets the engine's chain memo hit by identity instead of re-deriving a
-// chain for every freshly built WithDevice copy.
-func (sel *Selector) offloadVariants(s *strategy.Strategy, groups [][]int) (cpu, gpu map[int]strategy.Option) {
-	cpu = make(map[int]strategy.Option)
-	gpu = make(map[int]strategy.Option)
-	for _, g := range groups {
-		for _, idx := range g {
-			cpu[idx] = s.PerTensor[idx].WithDevice(cost.CPU)
-			gpu[idx] = s.PerTensor[idx].WithDevice(cost.GPU)
-		}
-	}
-	return cpu, gpu
-}
-
 // normalizeGPU points every grouped tensor's compression at the GPU, both
-// in the strategy copy and in the prepared engine.
-func (sel *Selector) normalizeGPU(out *strategy.Strategy, groups [][]int, gpu map[int]strategy.Option) error {
+// in the strategy copy and in the prepared engine. Placements here and in
+// the probe loops below come from onDevice: the engine's memo hits.
+func (sel *Selector) normalizeGPU(out *strategy.Strategy, groups [][]int) error {
 	for _, g := range groups {
 		for _, idx := range g {
-			opt := gpu[idx]
+			opt := sel.onDevice(out.PerTensor[idx], cost.GPU)
 			out.PerTensor[idx] = opt
 			if err := sel.eng.SetOption(idx, opt); err != nil {
 				return err
@@ -162,34 +146,33 @@ func (sel *Selector) normalizeGPU(out *strategy.Strategy, groups [][]int, gpu ma
 // toggling one tensor's device per step.
 func (sel *Selector) exactOffload(s *strategy.Strategy, groups [][]int, rep *Report) (*strategy.Strategy, error) {
 	out := s.Clone()
-	cpuOpt, gpuOpt := sel.offloadVariants(s, groups)
 	if err := sel.eng.Prepare(out); err != nil {
 		return nil, err
 	}
-	if err := sel.normalizeGPU(out, groups, gpuOpt); err != nil {
+	if err := sel.normalizeGPU(out, groups); err != nil {
 		return nil, err
 	}
 	setDev := func(idx int, dev cost.Device) error {
-		opt := gpuOpt[idx]
-		if dev == cost.CPU {
-			opt = cpuOpt[idx]
-		}
-		out.PerTensor[idx] = opt
-		return sel.eng.SetOption(idx, opt)
+		out.PerTensor[idx] = sel.onDevice(s.PerTensor[idx], dev)
+		return sel.eng.SetOption(idx, out.PerTensor[idx])
 	}
 
 	u := make([]int, len(groups))
 	bestU := make([]int, len(groups))
 	bestIter := time.Duration(-1)
 	for {
-		r, err := sel.eng.Run()
-		if err != nil {
-			return nil, err
-		}
 		rep.Evals++
-		if bestIter < 0 || r.Iter < bestIter {
-			bestIter = r.Iter
-			copy(bestU, u)
+		if bestIter >= 0 && sel.reaches(sel.eng, bestIter) {
+			rep.bounded++
+		} else {
+			r, err := sel.eng.Run()
+			if err != nil {
+				return nil, err
+			}
+			if bestIter < 0 || r.Iter < bestIter {
+				bestIter = r.Iter
+				copy(bestU, u)
+			}
 		}
 		// Odometer step: offload one more tensor of the lowest group
 		// that still has headroom; wrapped groups revert to GPU.
@@ -216,11 +199,11 @@ func (sel *Selector) exactOffload(s *strategy.Strategy, groups [][]int, rep *Rep
 	// Apply the best U.
 	for gi, g := range groups {
 		for j, idx := range g {
-			opt := gpuOpt[idx]
+			dev := cost.GPU
 			if j < bestU[gi] {
-				opt = cpuOpt[idx]
+				dev = cost.CPU
 			}
-			out.PerTensor[idx] = opt
+			out.PerTensor[idx] = sel.onDevice(s.PerTensor[idx], dev)
 		}
 	}
 	return out, nil
@@ -230,11 +213,10 @@ func (sel *Selector) exactOffload(s *strategy.Strategy, groups [][]int, rep *Rep
 // iteration time improves — the large-space fallback.
 func (sel *Selector) greedyOffload(s *strategy.Strategy, groups [][]int, rep *Report) (*strategy.Strategy, error) {
 	out := s.Clone()
-	cpuOpt, gpuOpt := sel.offloadVariants(s, groups)
 	if err := sel.eng.Prepare(out); err != nil {
 		return nil, err
 	}
-	if err := sel.normalizeGPU(out, groups, gpuOpt); err != nil {
+	if err := sel.normalizeGPU(out, groups); err != nil {
 		return nil, err
 	}
 	r, err := sel.eng.Run()
@@ -254,22 +236,26 @@ func (sel *Selector) greedyOffload(s *strategy.Strategy, groups [][]int, rep *Re
 				continue
 			}
 			idx := g[u[gi]]
-			cand := cpuOpt[idx]
-			if err := sel.eng.SetOption(idx, cand); err != nil {
-				return nil, err
-			}
-			r, err := sel.eng.Run()
-			if err != nil {
+			if err := sel.eng.SetOption(idx, sel.onDevice(s.PerTensor[idx], cost.CPU)); err != nil {
 				return nil, err
 			}
 			rep.Evals++
 			// Accept strict improvements, and on iteration-time
 			// plateaus the move that frees the most GPU time — the
-			// contention CPU offloading exists to relieve.
-			if r.Iter < bestIter || (r.Iter == bestIter && r.ResBusy[timeline.ResGPU] < bestBusy) {
-				bestIter = r.Iter
-				bestBusy = r.ResBusy[timeline.ResGPU]
-				bestGroup = gi
+			// contention CPU offloading exists to relieve. A plateau
+			// can win, so only a bound strictly above bestIter dismisses.
+			if sel.reaches(sel.eng, bestIter+1) {
+				rep.bounded++
+			} else {
+				r, err := sel.eng.Run()
+				if err != nil {
+					return nil, err
+				}
+				if r.Iter < bestIter || (r.Iter == bestIter && r.ResBusy[timeline.ResGPU] < bestBusy) {
+					bestIter = r.Iter
+					bestBusy = r.ResBusy[timeline.ResGPU]
+					bestGroup = gi
+				}
 			}
 			// Revert the probe.
 			if err := sel.eng.SetOption(idx, out.PerTensor[idx]); err != nil {
@@ -280,7 +266,7 @@ func (sel *Selector) greedyOffload(s *strategy.Strategy, groups [][]int, rep *Re
 			break
 		}
 		idx := groups[bestGroup][u[bestGroup]]
-		out.PerTensor[idx] = cpuOpt[idx]
+		out.PerTensor[idx] = sel.onDevice(s.PerTensor[idx], cost.CPU)
 		if err := sel.eng.SetOption(idx, out.PerTensor[idx]); err != nil {
 			return nil, err
 		}

@@ -93,18 +93,25 @@ func (sel *Selector) eachTraced(parent int, name string, n int, engines int, tas
 	return err
 }
 
-// bestOf evaluates candidate strategies across the worker pool and
-// returns the lowest-index one achieving the minimal F(S).
-func (sel *Selector) bestOf(seeds []*strategy.Strategy, rep *Report, parent int) (*strategy.Strategy, time.Duration, error) {
+// bestOf judges candidate strategies across the worker pool and returns
+// the lowest-index one achieving the minimal F(S). seeds[0] runs first,
+// alone, and its F(S) is the incumbent every other seed's lower bound is
+// held against: fixed before the fan-out, so what is dismissed does not
+// depend on worker interleaving, and a tie goes to index 0 regardless.
+func (sel *Selector) bestOf(seeds []*strategy.Strategy, rep *Report, parent int) (*strategy.Strategy, error) {
 	if len(seeds) == 0 {
-		return nil, 0, fmt.Errorf("core: no candidate strategies to evaluate")
+		return nil, fmt.Errorf("core: no candidate strategies to evaluate")
 	}
 	engines := sel.engines()
 	iters := make([]time.Duration, len(seeds))
-	if err := sel.eachTraced(parent, "seed-worker", len(seeds), len(engines), func(worker, i int) error {
+	judge := func(worker, i int) error {
 		eng := engines[worker]
 		if err := eng.Prepare(seeds[i]); err != nil {
 			return err
+		}
+		if i > 0 && sel.reaches(eng, iters[0]) {
+			iters[i] = unbounded
+			return nil
 		}
 		r, err := eng.Run()
 		if err != nil {
@@ -112,31 +119,43 @@ func (sel *Selector) bestOf(seeds []*strategy.Strategy, rep *Report, parent int)
 		}
 		iters[i] = r.Iter
 		return nil
+	}
+	if err := judge(0, 0); err != nil {
+		return nil, err
+	}
+	if err := sel.eachTraced(parent, "seed-worker", len(seeds)-1, len(engines), func(worker, i int) error {
+		return judge(worker, i+1)
 	}); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	if rep != nil {
-		rep.Evals += len(seeds)
-	}
-	best, bestIter := 0, iters[0]
+	best := 0
 	for i, it := range iters {
-		if it < bestIter {
-			best, bestIter = i, it
+		if it == unbounded {
+			rep.bounded++
+		} else if it < iters[best] {
+			best = i
 		}
 	}
-	return seeds[best], bestIter, nil
+	rep.Evals += len(seeds)
+	return seeds[best], nil
 }
 
-// probePosition evaluates every candidate option for tensor idx against
-// the fixed remainder of the strategy loaded into the pool engines, and
-// returns the per-candidate iteration times. The engines are left with
-// arbitrary options at idx; the caller must re-apply its decision to
-// every pool engine afterwards.
-func (sel *Selector) probePosition(engines []*timeline.Engine, idx int, probes []strategy.Option, iters []time.Duration, parent int) error {
+// probePosition judges every candidate option for tensor idx against the
+// fixed remainder of the strategy loaded into the pool engines: a
+// candidate whose lower bound reaches best cannot be below it and gets
+// unbounded without a run; the rest get their iteration times. best is
+// fixed for the whole position, so the outcome is the same at every
+// Parallelism. The engines are left with arbitrary options at idx; the
+// caller must re-apply its decision to every pool engine afterwards.
+func (sel *Selector) probePosition(engines []*timeline.Engine, idx int, probes []strategy.Option, iters []time.Duration, best time.Duration, parent int) error {
 	return sel.eachTraced(parent, "probe-worker", len(probes), len(engines), func(worker, i int) error {
 		eng := engines[worker]
 		if err := eng.SetOption(idx, probes[i]); err != nil {
 			return err
+		}
+		if sel.reaches(eng, best) {
+			iters[i] = unbounded
+			return nil
 		}
 		r, err := eng.Run()
 		if err != nil {

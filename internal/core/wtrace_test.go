@@ -161,11 +161,11 @@ func TestUntracedProbeLoopDoesNotAllocate(t *testing.T) {
 	iters := make([]time.Duration, len(probes))
 
 	// Warm up once so lazily-built memo tables do not count.
-	if err := sel.probePosition(engines, 0, probes, iters, wtrace.NoParent); err != nil {
+	if err := sel.probePosition(engines, 0, probes, iters, unbounded, wtrace.NoParent); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if err := sel.probePosition(engines, 0, probes, iters, wtrace.NoParent); err != nil {
+		if err := sel.probePosition(engines, 0, probes, iters, unbounded, wtrace.NoParent); err != nil {
 			t.Fatal(err)
 		}
 	})

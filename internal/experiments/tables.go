@@ -103,12 +103,15 @@ func Table5() ([]Table5Row, error) {
 		sel := core.NewSelector(m, c, cm)
 		sel.Parallelism = parallelism
 		start := time.Now()
-		_, rep, err := sel.Select()
+		s, rep, err := sel.Select()
 		if err != nil {
 			return nil, err
 		}
 		elapsed := time.Since(start)
-		perEval := elapsed / time.Duration(rep.Evals)
+		perEval, err := evalTime(m, c, cm, s)
+		if err != nil {
+			return nil, err
+		}
 		rows = append(rows, Table5Row{
 			Model:      m.Name,
 			Tensors:    m.NumTensors(),
@@ -118,6 +121,26 @@ func Table5() ([]Table5Row, error) {
 		})
 	}
 	return rows, nil
+}
+
+// evalTime is the wall clock of one F(S) run of s (mean of 16): what
+// brute force, with no incumbent to dismiss a strategy against, pays per
+// strategy. Selection time ÷ Report.Evals would understate it — most of
+// what Evals counts is judged without a run.
+func evalTime(m *model.Model, c *cluster.Cluster, cm *cost.Models, s *strategy.Strategy) (time.Duration, error) {
+	eng := timeline.New(m, c, cm)
+	eng.RecordOps = false
+	if err := eng.Prepare(s); err != nil {
+		return 0, err
+	}
+	const runs = 16
+	start := time.Now()
+	for i := 0; i < runs; i++ {
+		if _, err := eng.Run(); err != nil {
+			return 0, err
+		}
+	}
+	return time.Since(start) / runs, nil
 }
 
 // bruteEstimate renders the brute-force wall-clock estimate for `space`
@@ -190,7 +213,10 @@ func Table6() ([]Table6Row, error) {
 			return nil, err
 		}
 		elapsed := time.Since(start)
-		perEval := elapsed / time.Duration(max(offRep.Evals, 1))
+		perEval, err := evalTime(m, c, cm, s)
+		if err != nil {
+			return nil, err
+		}
 
 		var brute string
 		if offRep.OffloadTensors <= 12 {
@@ -255,11 +281,4 @@ func RenderTable6(rows []Table6Row) string {
 		fmt.Fprintf(&b, "%-12s %9d %9d %12s  %s\n", r.Model, r.Tensors, r.Search, r.Offload.Round(time.Millisecond), r.BruteForce)
 	}
 	return b.String()
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

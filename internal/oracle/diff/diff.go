@@ -12,6 +12,8 @@
 //	               one-tensor workloads (no contention, nothing to overlap)
 //	bracket        engine iteration time lies in the oracle's
 //	               [LowerBound, SerialIter] bracket on multi-tensor cases
+//	engine-bound   the engine's own LowerBound, on which the selector
+//	               dismisses probes unrun, never exceeds the engine's Run
 //	select-fp32    Select is never slower than uncompressed FP32
 //	select-allcomp Select is never materially slower than SelectAllCompressed
 //	beta-scaling   all bandwidths ×k ⇒ every comm term ÷k (α = 0 cases)
@@ -303,12 +305,41 @@ func (c *caseRun) fullCase() error {
 		}
 	}
 
+	if err := c.engineBound(cs, eng, fp32, sAll, sSel); err != nil {
+		return err
+	}
 	if cs.Cluster.IntraLatency == 0 && cs.Cluster.InterLatency == 0 {
 		if err := c.betaScaling(cs, pred, eng); err != nil {
 			return err
 		}
 	}
 	return c.addTensor(cs, cm, eng, r, uni)
+}
+
+// engineBound: the selector skips every probe whose Engine.LowerBound
+// reaches its incumbent, so the bound must hold on whatever is loaded —
+// here the given strategies and 8 random per-tensor assignments.
+func (c *caseRun) engineBound(cs *gen.Case, eng *timeline.Engine, strategies ...*strategy.Strategy) error {
+	opts := strategy.Enumerate(cs.Cluster)
+	r := gen.New(c.seed ^ 0x626f756e64) // "bound"
+	for k := 0; k < 8; k++ {
+		s := strategy.Uniform(len(cs.Model.Tensors), opts[0])
+		for i := range s.PerTensor {
+			s.PerTensor[i] = opts[r.Intn(len(opts))]
+		}
+		strategies = append(strategies, s)
+	}
+	for _, s := range strategies {
+		it, err := eng.IterTime(s)
+		if err != nil {
+			return err
+		}
+		c.count("engine-bound")
+		if lb := eng.LowerBound(); lb > it {
+			c.fail("engine-bound", "Engine.LowerBound %v exceeds Engine.Run %v on %v", lb, it, cs)
+		}
+	}
+	return nil
 }
 
 // betaScaling: with α = 0 every comm term is pure serialization time, so

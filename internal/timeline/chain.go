@@ -199,18 +199,6 @@ func (e *Engine) CommSteps(idx int, opt strategy.Option) ([]CommStep, error) {
 	return steps, nil
 }
 
-// scratchChain derives opt's chain for tensor idx into the engine's
-// reusable job buffer — for the read-only chain queries below, which the
-// seed evaluation and candidate deduplication call in tight loops.
-func (e *Engine) scratchChain(idx int, opt strategy.Option) ([]jobSpec, error) {
-	jobs, err := e.chainInto(idx, opt, e.jobScratch[:0])
-	if err != nil {
-		return nil, err
-	}
-	e.jobScratch = jobs
-	return jobs, nil
-}
-
 // ChainSig is one element of a chain signature: the resource and
 // µs-quantized duration of a job — chains that agree at that granularity
 // are indistinguishable to any decision the scheduler makes at DDL
@@ -243,7 +231,7 @@ func (e *Engine) AppendChainSig(idx int, opt strategy.Option, dst []ChainSig) ([
 // CommTime sums the pure communication time of an option for a tensor of
 // the given index — the tau_comm of §3 — with no queueing or overlap.
 func (e *Engine) CommTime(idx int, opt strategy.Option) (time.Duration, error) {
-	jobs, err := e.scratchChain(idx, opt)
+	jobs, err := e.memoChain(idx, opt)
 	if err != nil {
 		return 0, err
 	}
@@ -259,17 +247,14 @@ func (e *Engine) CommTime(idx int, opt strategy.Option) (time.Duration, error) {
 // CompTime sums the pure compression time (compression, decompression,
 // staging) of an option — the tau_comp of §3.
 func (e *Engine) CompTime(idx int, opt strategy.Option) (time.Duration, error) {
-	jobs, err := e.scratchChain(idx, opt)
+	jobs, err := e.memoChain(idx, opt)
 	if err != nil {
 		return 0, err
 	}
 	var d time.Duration
 	for _, j := range jobs {
-		switch j.res {
-		case ResCPU, ResStaging:
-			d += j.dur
-		case ResGPU:
-			d += j.dur // GPU compression jobs; backward kernels never appear here
+		if j.res != ResIntra && j.res != ResInter {
+			d += j.dur // backward kernels never appear in a chain
 		}
 	}
 	return d, nil

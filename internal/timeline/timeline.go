@@ -191,12 +191,16 @@ type Engine struct {
 	// never race on it.
 	chainMemo map[chainMemoKey][]jobSpec
 
+	// busy and chainSum are LowerBound's inputs, kept by SetOption: the
+	// loaded chains' service time per resource and per tensor. Backward
+	// kernels are added at call time, since ComputeScale may change.
+	busy     [numResources]time.Duration
+	chainSum []time.Duration
+
 	// resScratch is the Result Run reuses when RecordOps is off — the
 	// decision algorithm's inner loop runs tens of thousands of probes
 	// per selection and must not allocate per probe.
 	resScratch Result
-	// jobScratch backs CommTime/CompTime chain derivations.
-	jobScratch []jobSpec
 
 	// Observe's span-name caches, keyed by content (tensor, step, and
 	// the step's value), so they never need invalidation when the
@@ -213,7 +217,8 @@ func New(m *model.Model, c *cluster.Cluster, cm *cost.Models) *Engine {
 		// Pre-size the chain table from the model once: strategies always
 		// cover exactly the model's tensors, so Prepare never has to grow
 		// the outer array again.
-		chains: make([][]jobSpec, 0, n),
+		chains:   make([][]jobSpec, 0, n),
+		chainSum: make([]time.Duration, n),
 	}
 }
 
@@ -233,6 +238,8 @@ func (e *Engine) Clone() *Engine {
 		ZeroCompression: e.ZeroCompression,
 		RecordOps:       e.RecordOps,
 		ComputeScale:    e.ComputeScale,
+		busy:            e.busy,
+		chainSum:        append([]time.Duration(nil), e.chainSum...),
 	}
 	n := len(e.M.Tensors)
 	if len(e.chains) > 0 {
@@ -293,16 +300,11 @@ func (e *Engine) Prepare(s *strategy.Strategy) error {
 		return fmt.Errorf("timeline: strategy covers %d tensors, model has %d",
 			len(s.PerTensor), len(e.M.Tensors))
 	}
-	total := len(e.M.Tensors)
-	// Grow the chain table within capacity when possible; New pre-sizes
-	// it from the model, so the growth path is normally never taken.
-	if cap(e.chains) >= total {
-		e.chains = e.chains[:total]
-	} else {
-		grown := make([][]jobSpec, total)
-		copy(grown, e.chains[:cap(e.chains)])
-		e.chains = grown
-	}
+	// New and Clone size the chain table for the model. Loading starts
+	// from nothing, and LowerBound's sums with it.
+	e.chains = e.chains[:len(e.M.Tensors)]
+	clear(e.chains)
+	e.busy = [numResources]time.Duration{}
 	for i, opt := range s.PerTensor {
 		if err := e.SetOption(i, opt); err != nil {
 			return err
@@ -337,8 +339,35 @@ func (e *Engine) SetOption(i int, opt strategy.Option) error {
 	if err != nil {
 		return err
 	}
-	e.chains[i] = chain
+	for _, j := range e.chains[i] {
+		e.busy[j.res] -= j.dur
+	}
+	var sum time.Duration
+	for _, j := range chain {
+		e.busy[j.res] += j.dur
+		sum += j.dur
+	}
+	e.chains[i], e.chainSum[i] = chain, sum
 	return nil
+}
+
+// LowerBound is a closed-form lower bound on Run().Iter for the loaded
+// configuration, in O(tensors) with no event loop: no tensor finishes
+// before the backward kernels up to its own have run in index order and
+// its chain has run in sequence, and no single-server resource finishes
+// before serving all its work. The Selector asks it before every probe
+// and runs the timeline only when the bound is below its incumbent.
+func (e *Engine) LowerBound() time.Duration {
+	var prefix, bound time.Duration
+	for i, sum := range e.chainSum[:len(e.chains)] {
+		prefix += e.scaleCompute(e.M.Tensors[i].Compute)
+		bound = max(bound, prefix+sum)
+	}
+	bound = max(bound, e.busy[ResGPU]+prefix)
+	for _, d := range e.busy[ResCPU:] {
+		bound = max(bound, d)
+	}
+	return e.scaleCompute(e.M.Forward) + bound
 }
 
 // memoChain returns the immutable memoized chain for (tensor i's size,
