@@ -45,35 +45,51 @@ func outcomeOf(t testing.TB, s *strategy.Strategy, rep *Report, err error) outco
 	return outcome{string(buf), rep.Iter, rep.Evals, rep.Ruled, rep.Offloaded, rep.OffloadSearch}
 }
 
+// judged is how a selection's candidates were judged and what that cost:
+// the same at every Parallelism, except events, which depends on which
+// worker engine took which probe once there are several.
+type judged struct{ Run, Cut, Bounded, Unchanged, Events int }
+
 // selectOutcome runs one Select and checks the judged-how counters tile
 // the evaluation count.
-func selectOutcome(t testing.TB, m *model.Model, c *cluster.Cluster, cm *cost.Models, workers int, runAll bool) outcome {
+func selectOutcome(t testing.TB, m *model.Model, c *cluster.Cluster, cm *cost.Models, workers int, runAll bool) (outcome, judged) {
 	t.Helper()
 	sel := NewSelector(m, c, cm)
 	sel.Parallelism, sel.runAll, sel.Obs = workers, runAll, obs.NewMetrics()
 	s, rep, err := sel.Select()
 	out := outcomeOf(t, s, rep, err)
 	count := func(name string) int { return int(sel.Obs.Counter(name).Value()) }
-	run, bounded, unchanged := count("search.evals_run"), count("search.evals_bounded"), count("search.evals_unchanged")
-	if run+bounded+unchanged != rep.Evals || count("search.evals") != rep.Evals {
-		t.Fatalf("run %d + bounded %d + unchanged %d != evals %d", run, bounded, unchanged, rep.Evals)
+	j := judged{count("search.evals_run"), count("search.evals_cut"), count("search.evals_bounded"), count("search.evals_unchanged"), count("search.events")}
+	if j.Run+j.Cut+j.Bounded+j.Unchanged != rep.Evals || count("search.evals") != rep.Evals {
+		t.Fatalf("run %d + cut %d + bounded %d + unchanged %d != evals %d", j.Run, j.Cut, j.Bounded, j.Unchanged, rep.Evals)
 	}
-	if runAll && run != rep.Evals {
-		t.Fatalf("runAll selection judged %d bounded, %d unchanged without running them", bounded, unchanged)
+	if runAll && j.Run != rep.Evals {
+		t.Fatalf("runAll selection judged %d cut, %d bounded, %d unchanged without running them to the end", j.Cut, j.Bounded, j.Unchanged)
 	}
-	return out
+	if j.Events < j.Run {
+		t.Fatalf("%d runs to the end simulated only %d events", j.Run, j.Events)
+	}
+	return out, j
 }
 
 // assertBoundedMatches compares the default selection at one and two
-// workers against the run-everything reference.
-func assertBoundedMatches(t *testing.T, name string, m *model.Model, c *cluster.Cluster, cm *cost.Models) {
+// workers against the run-everything reference, and returns the events
+// the reference and the default selection simulated.
+func assertBoundedMatches(t *testing.T, name string, m *model.Model, c *cluster.Cluster, cm *cost.Models) (all, probed int) {
 	t.Helper()
-	want := selectOutcome(t, m, c, cm, 1, true)
-	for _, workers := range []int{1, 2} {
-		if got := selectOutcome(t, m, c, cm, workers, false); got != want {
-			t.Fatalf("%s, %d workers: bounded selection differs from the run-everything one\n got %+v\nwant %+v", name, workers, got, want)
-		}
+	want, ref := selectOutcome(t, m, c, cm, 1, true)
+	got, seq := selectOutcome(t, m, c, cm, 1, false)
+	if got != want {
+		t.Fatalf("%s: bounded selection differs from the run-everything one\n got %+v\nwant %+v", name, got, want)
 	}
+	got, par := selectOutcome(t, m, c, cm, 2, false)
+	if got != want {
+		t.Fatalf("%s, 2 workers: bounded selection differs from the run-everything one\n got %+v\nwant %+v", name, got, want)
+	}
+	if par.Events = seq.Events; par != seq {
+		t.Fatalf("%s: candidates judged differently at 2 workers\n got %+v\nwant %+v", name, par, seq)
+	}
+	return ref.Events, seq.Events
 }
 
 // hierarchicalCases draws n generated 12–24-tensor cases on two-level
@@ -99,9 +115,16 @@ func TestBoundedSelectionMatchesUnbounded(t *testing.T) {
 	for seed := uint64(1); seed <= seeds; seed++ {
 		cases = append(cases, gen.Generate(seed, gen.Config{}))
 	}
+	var all, probed int
 	for _, cs := range cases {
-		assertBoundedMatches(t, cs.String(), cs.Model, cs.Cluster, cost.MustModels(cs.Cluster, cs.Spec))
+		a, p := assertBoundedMatches(t, cs.String(), cs.Model, cs.Cluster, cost.MustModels(cs.Cluster, cs.Spec))
+		all, probed = all+a, probed+p
 	}
+	// What the bound, the stamp, the fork and the stop are for.
+	if probed*2 > all {
+		t.Errorf("default selections simulated %d events, running everything %d: less than half saved", probed, all)
+	}
+	t.Logf("events: %d running everything, %d by default", all, probed)
 }
 
 func TestBoundedSelectionMatchesUnboundedZoo(t *testing.T) {
@@ -128,10 +151,23 @@ func TestBoundedEntryPointsMatchUnbounded(t *testing.T) {
 		var prior *strategy.Strategy
 		var got [2][3]outcome
 		for k, runAll := range []bool{false, true} {
+			// tiles: the candidates not run to the end are some of the
+			// candidates, and when everything is run only the warm prior's
+			// second judgement, whose F(S) is known, is among them.
+			tiles := func(rep *Report) {
+				t.Helper()
+				if rest := rep.cut + rep.bounded + rep.unchanged; rest > rep.Evals || (runAll && rest > 1) || rep.cut < 0 || rep.bounded < 0 || rep.unchanged < 0 {
+					t.Fatalf("%v (runAll=%v): cut %d + bounded %d + unchanged %d of %d evals", cs, runAll, rep.cut, rep.bounded, rep.unchanged, rep.Evals)
+				}
+			}
 			sel := NewSelector(cs.Model, cs.Cluster, cm)
 			sel.runAll = runAll
 			s, rep, err := sel.SelectAllCompressed()
 			got[k][0] = outcomeOf(t, s, rep, err)
+			tiles(rep)
+			if rep.events <= 0 {
+				t.Fatalf("%v: SelectAllCompressed reports %d events", cs, rep.events)
+			}
 			if prior == nil {
 				prior = s
 			}
@@ -141,6 +177,7 @@ func TestBoundedEntryPointsMatchUnbounded(t *testing.T) {
 			sel.SetComputeScale(2)
 			s, rep, err = sel.SelectFrom(prior)
 			got[k][1] = outcomeOf(t, s, rep, err)
+			tiles(rep)
 
 			ub := NewSelector(cs.Model, cs.Cluster, cm)
 			ub.runAll, ub.eng.ZeroCompression = runAll, true
@@ -149,6 +186,7 @@ func TestBoundedEntryPointsMatchUnbounded(t *testing.T) {
 				rep.Iter, err = ub.iter(s, rep)
 			}
 			got[k][2] = outcomeOf(t, s, rep, err)
+			tiles(rep)
 		}
 		if got[0] != got[1] {
 			t.Fatalf("%v: bounded {SelectAllCompressed, SelectFrom, UpperBound} differ from run-everything\n got %+v\nwant %+v", cs, got[0], got[1])

@@ -30,11 +30,14 @@ type Report struct {
 	Alg1Time      time.Duration
 	OffloadTime   time.Duration
 
-	// Evals counts candidate strategies judged: run on the timeline,
-	// dismissed because timeline.Engine.LowerBound already reached the
-	// incumbent (bounded), or known unchanged since their last run.
-	Evals              int
-	bounded, unchanged int
+	// Evals counts candidate strategies judged: run on the timeline to
+	// the end, run until the timeline proved them not below the incumbent
+	// (cut), dismissed unrun because timeline.Engine.LowerBound already
+	// reached the incumbent (bounded), or known unchanged since their last
+	// run. events is the event-loop completions all of it simulated.
+	Evals                   int
+	cut, bounded, unchanged int
+	events                  int
 	// Candidates is |C_gpu|, the per-tensor GPU option set size.
 	Candidates int
 	// OffloadSearch is the size of Algorithm 2's search space,
@@ -152,19 +155,60 @@ type Selector struct {
 	variants [2]map[*strategy.Step]variant
 
 	// runAll is the differential tests' hook: judge nothing by bound or
-	// stamp, run every candidate on the timeline.
+	// stamp, run every candidate on the timeline from t=0 to the end.
 	runAll bool
 }
 
 // unbounded is both the incumbent that dismisses nothing (no bound
-// reaches it) and the iteration time recorded for a dismissed candidate
-// (no incumbent exceeds it).
-const unbounded = time.Duration(math.MaxInt64)
+// reaches it) and the iteration time recorded for a candidate dismissed
+// by its lower bound; cut is recorded for one whose run stopped at the
+// verdict. No incumbent exceeds either.
+const (
+	unbounded = timeline.NoLimit
+	cut       = unbounded - 1
+)
 
-// reaches reports whether eng's loaded configuration provably cannot
-// undercut best: its closed-form lower bound is already there.
-func (sel *Selector) reaches(eng *timeline.Engine, best time.Duration) bool {
-	return !sel.runAll && eng.LowerBound() >= best
+// judge asks whether eng's loaded configuration runs below limit: it
+// returns the timeline result and its iteration time if so or if the
+// timeline ran to the end anyway, unbounded if the closed-form lower
+// bound already reaches limit, cut if the run was stopped on proving the
+// same. idx is the tensor the caller varies from call to call (the
+// engine resumes from its gradient-ready instant, see
+// timeline.Engine.Probe), or -1. Every candidate the Selector holds
+// against an incumbent comes through here.
+func (sel *Selector) judge(eng *timeline.Engine, idx int, limit time.Duration) (*timeline.Result, time.Duration, error) {
+	if sel.runAll {
+		r, err := eng.Run()
+		if err != nil {
+			return nil, 0, err
+		}
+		return r, r.Iter, nil
+	}
+	if eng.LowerBound() >= limit {
+		return nil, unbounded, nil
+	}
+	r, stopped, err := eng.Probe(idx, limit)
+	if err != nil {
+		return nil, 0, err
+	}
+	if stopped {
+		return nil, cut, nil
+	}
+	return r, r.Iter, nil
+}
+
+// tally counts how the candidate that judge gave iter was judged and
+// reports whether iter is an iteration time.
+func (rep *Report) tally(iter time.Duration) bool {
+	switch iter {
+	case unbounded:
+		rep.bounded++
+	case cut:
+		rep.cut++
+	default:
+		return true
+	}
+	return false
 }
 
 // variant pairs a device placement with the option it was made from,
@@ -273,7 +317,7 @@ func (sel *Selector) SelectFrom(prior *strategy.Strategy) (*strategy.Strategy, *
 }
 
 func (sel *Selector) selectFrom(prior *strategy.Strategy) (*strategy.Strategy, *Report, error) {
-	start := time.Now()
+	start, startEvents := time.Now(), sel.simulated()
 	rep := &Report{Candidates: len(sel.candidates)}
 	tr := sel.Trace
 
@@ -331,6 +375,7 @@ func (sel *Selector) selectFrom(prior *strategy.Strategy) (*strategy.Strategy, *
 	}
 	sel.lastRemoved = primaryRemoved
 	rep.Evals += altRep.Evals
+	rep.cut += altRep.cut
 	rep.bounded += altRep.bounded
 	rep.unchanged += altRep.unchanged
 	if alt != nil {
@@ -371,8 +416,20 @@ func (sel *Selector) selectFrom(prior *strategy.Strategy) (*strategy.Strategy, *
 	// evaluation counted in rep.Evals — including this final one — and
 	// Alg1Time + OffloadTime <= SelectionTime always holds.
 	rep.SelectionTime = time.Since(start)
+	rep.events = sel.simulated() - startEvents
 	sel.publish(rep)
 	return s, rep, nil
+}
+
+// simulated is the event count of every engine the selector runs on.
+func (sel *Selector) simulated() int {
+	n := sel.eng.Events()
+	for _, eng := range sel.pool {
+		if eng != sel.eng {
+			n += eng.Events()
+		}
+	}
+	return n
 }
 
 // publish exports a selection report into the attached metrics registry.
@@ -385,9 +442,11 @@ func (sel *Selector) publish(rep *Report) {
 	}
 	mx.Counter("search.selections").Inc()
 	mx.Counter("search.evals").Add(int64(rep.Evals))
-	mx.Counter("search.evals_run").Add(int64(rep.Evals - rep.bounded - rep.unchanged))
+	mx.Counter("search.evals_run").Add(int64(rep.Evals - rep.cut - rep.bounded - rep.unchanged))
+	mx.Counter("search.evals_cut").Add(int64(rep.cut))
 	mx.Counter("search.evals_bounded").Add(int64(rep.bounded))
 	mx.Counter("search.evals_unchanged").Add(int64(rep.unchanged))
+	mx.Counter("search.events").Add(int64(rep.events))
 	mx.Counter("search.ruled_out").Add(int64(rep.Ruled))
 	mx.Gauge("search.candidates").Set(float64(rep.Candidates))
 	mx.Gauge("search.offload_space").Set(float64(rep.OffloadSearch))
@@ -672,6 +731,7 @@ func (sel *Selector) compressedSearch(rep *Report, parent int) (*strategy.Strate
 // 1 is fixed to "compress" for every tensor, and the rest of the pipeline
 // (option choice, device choice, offloading) runs as usual.
 func (sel *Selector) SelectAllCompressed() (*strategy.Strategy, *Report, error) {
+	startEvents := sel.simulated()
 	rep := &Report{}
 	s, err := sel.compressedSearch(rep, wtrace.NoParent)
 	if err != nil {
@@ -689,6 +749,7 @@ func (sel *Selector) SelectAllCompressed() (*strategy.Strategy, *Report, error) 
 	if err := sel.explainDecisions(s, rep, wtrace.NoParent); err != nil {
 		return nil, nil, err
 	}
+	rep.events = sel.simulated() - startEvents
 	sel.publish(rep)
 	return s, rep, nil
 }
@@ -814,9 +875,7 @@ func (sel *Selector) sweepFrom(s *strategy.Strategy, rep *Report, parent int) (*
 
 			bestOpt, improved := cur, false
 			for i, it := range iters {
-				if it == unbounded {
-					rep.bounded++
-				} else if it < best {
+				if rep.tally(it) && it < best {
 					best = it
 					bestOpt = probes[i]
 					improved = true

@@ -92,6 +92,7 @@ func (sel *Selector) explainDecisions(s *strategy.Strategy, rep *Report, parent 
 	decisions := make([]TensorDecision, n)
 	var probes []strategy.Option
 	var iters []time.Duration
+	seen := make(map[string]bool)
 	for idx := 0; idx < n; idx++ {
 		if sel.ProbeDeadline > 0 && time.Since(probeStart) > sel.ProbeDeadline {
 			rep.Decisions = decisions[:idx]
@@ -110,10 +111,10 @@ func (sel *Selector) explainDecisions(s *strategy.Strategy, rep *Report, parent 
 		// and conversely the GPU set omits CPU alternatives, so device
 		// variants are expanded here and deduplicated by Key.
 		probes = probes[:0]
-		seen := make(map[string]bool, 2*len(cands)+1)
+		clear(seen)
 		add := func(o strategy.Option) {
-			if !seen[o.Key()] {
-				seen[o.Key()] = true
+			if key := o.Key(); !seen[key] {
+				seen[key] = true
 				probes = append(probes, o)
 			}
 		}

@@ -2,9 +2,9 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strconv"
-	"time"
 
 	"espresso/internal/cost"
 	"espresso/internal/obs/wtrace"
@@ -159,20 +159,19 @@ func (sel *Selector) exactOffload(s *strategy.Strategy, groups [][]int, rep *Rep
 
 	u := make([]int, len(groups))
 	bestU := make([]int, len(groups))
-	bestIter := time.Duration(-1)
+	bestIter := unbounded
+	// The odometer turns group 0 fastest; nothing below its lowest tensor
+	// changes until a slower group steps.
+	forkAt := slices.Min(groups[0])
 	for {
 		rep.Evals++
-		if bestIter >= 0 && sel.reaches(sel.eng, bestIter) {
-			rep.bounded++
-		} else {
-			r, err := sel.eng.Run()
-			if err != nil {
-				return nil, err
-			}
-			if bestIter < 0 || r.Iter < bestIter {
-				bestIter = r.Iter
-				copy(bestU, u)
-			}
+		_, it, err := sel.judge(sel.eng, forkAt, bestIter)
+		if err != nil {
+			return nil, err
+		}
+		if rep.tally(it) && it < bestIter {
+			bestIter = it
+			copy(bestU, u)
 		}
 		// Odometer step: offload one more tensor of the lowest group
 		// that still has headroom; wrapped groups revert to GPU.
@@ -243,19 +242,16 @@ func (sel *Selector) greedyOffload(s *strategy.Strategy, groups [][]int, rep *Re
 			// Accept strict improvements, and on iteration-time
 			// plateaus the move that frees the most GPU time — the
 			// contention CPU offloading exists to relieve. A plateau
-			// can win, so only a bound strictly above bestIter dismisses.
-			if sel.reaches(sel.eng, bestIter+1) {
-				rep.bounded++
-			} else {
-				r, err := sel.eng.Run()
-				if err != nil {
-					return nil, err
-				}
-				if r.Iter < bestIter || (r.Iter == bestIter && r.ResBusy[timeline.ResGPU] < bestBusy) {
-					bestIter = r.Iter
-					bestBusy = r.ResBusy[timeline.ResGPU]
-					bestGroup = gi
-				}
+			// can win, so only an iteration time strictly above bestIter
+			// is dismissed unfinished.
+			r, it, err := sel.judge(sel.eng, -1, bestIter+1)
+			if err != nil {
+				return nil, err
+			}
+			if rep.tally(it) && (it < bestIter || (it == bestIter && r.ResBusy[timeline.ResGPU] < bestBusy)) {
+				bestIter = it
+				bestBusy = r.ResBusy[timeline.ResGPU]
+				bestGroup = gi
 			}
 			// Revert the probe.
 			if err := sel.eng.SetOption(idx, out.PerTensor[idx]); err != nil {

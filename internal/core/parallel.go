@@ -104,35 +104,30 @@ func (sel *Selector) bestOf(seeds []*strategy.Strategy, rep *Report, parent int)
 	}
 	engines := sel.engines()
 	iters := make([]time.Duration, len(seeds))
-	judge := func(worker, i int) error {
+	judgeSeed := func(worker, i int) error {
 		eng := engines[worker]
 		if err := eng.Prepare(seeds[i]); err != nil {
 			return err
 		}
-		if i > 0 && sel.reaches(eng, iters[0]) {
-			iters[i] = unbounded
-			return nil
+		limit := unbounded
+		if i > 0 {
+			limit = iters[0]
 		}
-		r, err := eng.Run()
-		if err != nil {
-			return err
-		}
-		iters[i] = r.Iter
-		return nil
+		var err error
+		_, iters[i], err = sel.judge(eng, -1, limit)
+		return err
 	}
-	if err := judge(0, 0); err != nil {
+	if err := judgeSeed(0, 0); err != nil {
 		return nil, err
 	}
 	if err := sel.eachTraced(parent, "seed-worker", len(seeds)-1, len(engines), func(worker, i int) error {
-		return judge(worker, i+1)
+		return judgeSeed(worker, i+1)
 	}); err != nil {
 		return nil, err
 	}
 	best := 0
 	for i, it := range iters {
-		if it == unbounded {
-			rep.bounded++
-		} else if it < iters[best] {
+		if rep.tally(it) && it < iters[best] {
 			best = i
 		}
 	}
@@ -141,28 +136,22 @@ func (sel *Selector) bestOf(seeds []*strategy.Strategy, rep *Report, parent int)
 }
 
 // probePosition judges every candidate option for tensor idx against the
-// fixed remainder of the strategy loaded into the pool engines: a
-// candidate whose lower bound reaches best cannot be below it and gets
-// unbounded without a run; the rest get their iteration times. best is
-// fixed for the whole position, so the outcome is the same at every
-// Parallelism. The engines are left with arbitrary options at idx; the
-// caller must re-apply its decision to every pool engine afterwards.
+// fixed remainder of the strategy loaded into the pool engines (see
+// judge): iters gets an iteration time, or unbounded or cut for a
+// candidate proved not below best. best is fixed for the whole position
+// and a verdict does not depend on the engine that reached it, so the
+// outcome is the same at every Parallelism. The engines are left with
+// arbitrary options at idx; the caller must re-apply its decision to
+// every pool engine afterwards.
 func (sel *Selector) probePosition(engines []*timeline.Engine, idx int, probes []strategy.Option, iters []time.Duration, best time.Duration, parent int) error {
 	return sel.eachTraced(parent, "probe-worker", len(probes), len(engines), func(worker, i int) error {
 		eng := engines[worker]
 		if err := eng.SetOption(idx, probes[i]); err != nil {
 			return err
 		}
-		if sel.reaches(eng, best) {
-			iters[i] = unbounded
-			return nil
-		}
-		r, err := eng.Run()
-		if err != nil {
-			return err
-		}
-		iters[i] = r.Iter
-		return nil
+		var err error
+		_, iters[i], err = sel.judge(eng, idx, best)
+		return err
 	})
 }
 

@@ -40,6 +40,15 @@ func assertSameSelection(t *testing.T, name string, seqS, parS *strategy.Strateg
 	if seqRep.Evals != parRep.Evals {
 		t.Errorf("%s: parallel evals %d != sequential %d", name, parRep.Evals, seqRep.Evals)
 	}
+	// How each candidate was judged is a property of the candidate and
+	// its incumbent, not of the engine that judged it.
+	if seqRep.cut != parRep.cut || seqRep.bounded != parRep.bounded || seqRep.unchanged != parRep.unchanged {
+		t.Errorf("%s: parallel cut/bounded/unchanged %d/%d/%d != sequential %d/%d/%d",
+			name, parRep.cut, parRep.bounded, parRep.unchanged, seqRep.cut, seqRep.bounded, seqRep.unchanged)
+	}
+	if seqRep.events <= 0 || parRep.events <= 0 {
+		t.Errorf("%s: events %d sequential, %d parallel: every selection simulates some", name, seqRep.events, parRep.events)
+	}
 	if seqRep.Compressed != parRep.Compressed || seqRep.Offloaded != parRep.Offloaded {
 		t.Errorf("%s: parallel compressed/offloaded %d/%d != sequential %d/%d",
 			name, parRep.Compressed, parRep.Offloaded, seqRep.Compressed, seqRep.Offloaded)
@@ -62,6 +71,10 @@ func TestParallelSelectionMatchesSequential(t *testing.T) {
 	seqS, seqRep := selectWith(t, m, c, cm, 1)
 	parS, parRep := selectWith(t, m, c, cm, testWorkers())
 	assertSameSelection(t, m.Name, seqS, parS, seqRep, parRep)
+	// One engine takes every probe in order, so its event count is exact.
+	if _, again := selectWith(t, m, c, cm, 1); again.events != seqRep.events {
+		t.Errorf("sequential selection simulated %d events, then %d", seqRep.events, again.events)
+	}
 }
 
 // The same guarantee across every paper model — the acceptance bar for
@@ -98,6 +111,12 @@ func TestParallelSelectPublishesMetricsRaceFree(t *testing.T) {
 	snap := sel.Obs.Snapshot()
 	if got := snap.Counters["search.evals"]; got != int64(rep.Evals) {
 		t.Errorf("search.evals = %d, report says %d", got, rep.Evals)
+	}
+	if got := snap.Counters["search.evals_run"] + snap.Counters["search.evals_cut"] + snap.Counters["search.evals_bounded"] + snap.Counters["search.evals_unchanged"]; got != int64(rep.Evals) {
+		t.Errorf("search.evals_{run,cut,bounded,unchanged} sum to %d, report says %d", got, rep.Evals)
+	}
+	if got := snap.Counters["search.events"]; got != int64(rep.events) || got <= 0 {
+		t.Errorf("search.events = %d, report says %d", got, rep.events)
 	}
 	if snap.Counters["search.selections"] != 1 {
 		t.Errorf("search.selections = %d, want 1", snap.Counters["search.selections"])

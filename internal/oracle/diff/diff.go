@@ -14,6 +14,10 @@
 //	               [LowerBound, SerialIter] bracket on multi-tensor cases
 //	engine-bound   the engine's own LowerBound, on which the selector
 //	               dismisses probes unrun, never exceeds the engine's Run
+//	engine-fork    the engine's Probe, on which the selector resumes probes
+//	               from a tensor's gradient-ready instant and stops them at
+//	               the verdict: resumed equals from scratch (incremental ==
+//	               full), and a stopped run really is at or above its limit
 //	select-fp32    Select is never slower than uncompressed FP32
 //	select-allcomp Select is never materially slower than SelectAllCompressed
 //	beta-scaling   all bandwidths ×k ⇒ every comm term ÷k (α = 0 cases)
@@ -308,6 +312,9 @@ func (c *caseRun) fullCase() error {
 	if err := c.engineBound(cs, eng, fp32, sAll, sSel); err != nil {
 		return err
 	}
+	if err := c.engineFork(cs, eng, cm, fp32, sAll, sSel); err != nil {
+		return err
+	}
 	if cs.Cluster.IntraLatency == 0 && cs.Cluster.InterLatency == 0 {
 		if err := c.betaScaling(cs, pred, eng); err != nil {
 			return err
@@ -316,20 +323,26 @@ func (c *caseRun) fullCase() error {
 	return c.addTensor(cs, cm, eng, r, uni)
 }
 
-// engineBound: the selector skips every probe whose Engine.LowerBound
-// reaches its incumbent, so the bound must hold on whatever is loaded —
-// here the given strategies and 8 random per-tensor assignments.
-func (c *caseRun) engineBound(cs *gen.Case, eng *timeline.Engine, strategies ...*strategy.Strategy) error {
+// randomStrategies appends k seeded random per-tensor assignments over
+// the full option set.
+func randomStrategies(cs *gen.Case, r *gen.Rand, k int, strategies []*strategy.Strategy) []*strategy.Strategy {
 	opts := strategy.Enumerate(cs.Cluster)
-	r := gen.New(c.seed ^ 0x626f756e64) // "bound"
-	for k := 0; k < 8; k++ {
+	for ; k > 0; k-- {
 		s := strategy.Uniform(len(cs.Model.Tensors), opts[0])
 		for i := range s.PerTensor {
 			s.PerTensor[i] = opts[r.Intn(len(opts))]
 		}
 		strategies = append(strategies, s)
 	}
-	for _, s := range strategies {
+	return strategies
+}
+
+// engineBound: the selector skips every probe whose Engine.LowerBound
+// reaches its incumbent, so the bound must hold on whatever is loaded —
+// here the given strategies and 8 random per-tensor assignments.
+func (c *caseRun) engineBound(cs *gen.Case, eng *timeline.Engine, strategies ...*strategy.Strategy) error {
+	r := gen.New(c.seed ^ 0x626f756e64) // "bound"
+	for _, s := range randomStrategies(cs, r, 8, strategies) {
 		it, err := eng.IterTime(s)
 		if err != nil {
 			return err
@@ -337,6 +350,56 @@ func (c *caseRun) engineBound(cs *gen.Case, eng *timeline.Engine, strategies ...
 		c.count("engine-bound")
 		if lb := eng.LowerBound(); lb > it {
 			c.fail("engine-bound", "Engine.LowerBound %v exceeds Engine.Run %v on %v", lb, it, cs)
+		}
+	}
+	return nil
+}
+
+// engineFork: the selector's probes go through Engine.Probe. For the
+// given strategies and 8 random ones: take the fork at a seeded tensor,
+// swap that tensor's option, and the resumed run must equal a fresh
+// engine's run of the swapped strategy; held to a limit near that
+// iteration time, a run that stops must really be at or above the limit
+// and one that does not must still be exact.
+func (c *caseRun) engineFork(cs *gen.Case, eng *timeline.Engine, cm *cost.Models, strategies ...*strategy.Strategy) error {
+	opts := strategy.Enumerate(cs.Cluster)
+	ref := timeline.New(cs.Model, cs.Cluster, cm)
+	r := gen.New(c.seed ^ 0x666f726b) // "fork"
+	for _, s := range randomStrategies(cs, r, 8, strategies) {
+		idx := r.Intn(len(s.PerTensor))
+		if err := eng.Prepare(s); err != nil {
+			return err
+		}
+		if _, _, err := eng.Probe(idx, timeline.NoLimit); err != nil {
+			return err
+		}
+		swapped := s.Clone()
+		swapped.PerTensor[idx] = opts[r.Intn(len(opts))]
+		want, err := ref.IterTime(swapped)
+		if err != nil {
+			return err
+		}
+		if err := eng.SetOption(idx, swapped.PerTensor[idx]); err != nil {
+			return err
+		}
+		got, _, err := eng.Probe(idx, timeline.NoLimit)
+		if err != nil {
+			return err
+		}
+		c.count("engine-fork")
+		if got.Iter != want {
+			c.fail("engine-fork", "Probe resumed at tensor %d gives %v, a fresh engine %v on %v", idx, got.Iter, want, cs)
+		}
+		limit := want - want/8 + time.Duration(r.Intn(int(want/4)+1))
+		got, stopped, err := eng.Probe(idx, limit)
+		if err != nil {
+			return err
+		}
+		c.count("engine-fork")
+		if stopped && want < limit {
+			c.fail("engine-fork", "Probe stopped at limit %v, but the iteration time is %v on %v", limit, want, cs)
+		} else if !stopped && got.Iter != want {
+			c.fail("engine-fork", "Probe held to %v gives %v, a fresh engine %v on %v", limit, got.Iter, want, cs)
 		}
 	}
 	return nil

@@ -13,7 +13,9 @@ package timeline
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
+	"strings"
 	"time"
 
 	"espresso/internal/cluster"
@@ -131,17 +133,17 @@ func (r *Result) AppendBubbleTensors(res Resource, dst []int) []int {
 // Gantt renders a human-readable timeline (for cmd/espresso-sim and the
 // didactic examples).
 func (r *Result) Gantt() string {
-	out := ""
+	var out strings.Builder
 	for _, op := range r.Ops {
 		kind := "backward"
 		if op.Step >= 0 {
 			kind = fmt.Sprintf("step%-2d", op.Step)
 		}
-		out += fmt.Sprintf("%-6s T%-3d %s  [%8.3fms — %8.3fms]\n",
+		fmt.Fprintf(&out, "%-6s T%-3d %s  [%8.3fms — %8.3fms]\n",
 			op.Res, op.Tensor, kind,
 			float64(op.Span.Start)/1e6, float64(op.Span.End)/1e6)
 	}
-	return out
+	return out.String()
 }
 
 // Engine evaluates strategies for one (model, cluster, GC) configuration.
@@ -190,6 +192,15 @@ type Engine struct {
 	// Never shared: clones start with a nil memo, so concurrent engines
 	// never race on it.
 	chainMemo map[chainMemoKey][]jobSpec
+
+	// arena is the chunk memoChain carves chain arrays out of; a full
+	// chunk stays alive through the chains that point into it.
+	arena []jobSpec
+
+	// fork is the loop state Probe resumes from (see Probe); events counts
+	// the job completions every run on this engine has simulated.
+	fork   fork
+	events int
 
 	// busy and chainSum are LowerBound's inputs, kept by SetOption: the
 	// loaded chains' service time per resource and per tensor. Backward
@@ -305,6 +316,7 @@ func (e *Engine) Prepare(s *strategy.Strategy) error {
 	e.chains = e.chains[:len(e.M.Tensors)]
 	clear(e.chains)
 	e.busy = [numResources]time.Duration{}
+	e.fork.ok = false
 	for i, opt := range s.PerTensor {
 		if err := e.SetOption(i, opt); err != nil {
 			return err
@@ -339,6 +351,16 @@ func (e *Engine) SetOption(i int, opt strategy.Option) error {
 	if err != nil {
 		return err
 	}
+	e.load(i, chain)
+	return nil
+}
+
+// load points tensor i at chain, keeping LowerBound's sums exact and
+// dropping a fork taken under the old chain.
+func (e *Engine) load(i int, chain []jobSpec) {
+	if i < e.fork.idx {
+		e.fork.ok = false
+	}
 	for _, j := range e.chains[i] {
 		e.busy[j.res] -= j.dur
 	}
@@ -348,7 +370,6 @@ func (e *Engine) SetOption(i int, opt strategy.Option) error {
 		sum += j.dur
 	}
 	e.chains[i], e.chainSum[i] = chain, sum
-	return nil
 }
 
 // LowerBound is a closed-form lower bound on Run().Iter for the loaded
@@ -370,6 +391,12 @@ func (e *Engine) LowerBound() time.Duration {
 	return e.scaleCompute(e.M.Forward) + bound
 }
 
+// Chain-arena chunk sizes, in jobSpecs (24 bytes each).
+const (
+	arenaFirst = 128
+	arenaMax   = 2048
+)
+
 // memoChain returns the immutable memoized chain for (tensor i's size,
 // opt), deriving and caching it on first use. AppendChainSig shares
 // this cache, so the candidate-dedup pass that opens a sweep also warms
@@ -383,11 +410,21 @@ func (e *Engine) memoChain(i int, opt strategy.Option) ([]jobSpec, error) {
 		return memo, nil
 	}
 	// A step expands to at most two jobs (CPU compression adds a staging
-	// hop), so this capacity always holds the full chain in one array.
-	chain, err := e.chainInto(i, opt, make([]jobSpec, 0, 2*len(opt.Steps)))
+	// hop), so this much of the arena always holds the full chain. The
+	// three-index slices keep an append from ever reaching a neighbour.
+	need := 2 * len(opt.Steps)
+	if cap(e.arena)-len(e.arena) < need {
+		// Chunks double from arenaFirst to arenaMax specs: a six-tensor
+		// case never pays for a ResNet's chunk.
+		e.arena = make([]jobSpec, 0, max(need, min(2*cap(e.arena), arenaMax), arenaFirst))
+	}
+	at := len(e.arena)
+	chain, err := e.chainInto(i, opt, e.arena[at:at:at+need])
 	if err != nil {
 		return nil, err
 	}
+	e.arena = e.arena[:at+len(chain)]
+	chain = chain[:len(chain):len(chain)]
 	// jobPrio packs the chain index into 8 bits and the step slot into 16;
 	// stepSlot <= len(chain), so one guard covers both fields.
 	if len(chain) > 0xfe {
@@ -432,68 +469,208 @@ func (e *Engine) Run() (*Result, error) {
 // backing array — the pooled-scratch entry point for callers that
 // evaluate in a loop (the bubble-analysis pass of the greedy sweep).
 func (e *Engine) RunInto(res *Result) error {
+	_, err := e.run(res, -1, NoLimit)
+	return err
+}
+
+// NoLimit is the limit no iteration time reaches: a Probe given it never
+// stops early.
+const NoLimit = time.Duration(math.MaxInt64)
+
+// idle is the completion time of a resource serving nothing.
+const idle = time.Duration(math.MaxInt64)
+
+// Probe is Run for a caller that re-assigns tensor idx (and possibly
+// tensors above it) between calls and only needs to know the iteration
+// time if it is below limit — the Selector's GetBestOption loop. It
+// returns the engine's scratch Result like Run; two things make it
+// cheaper.
+//
+// Fork: nothing scheduled before tensor idx's backward kernel completes
+// can depend on the options of tensors >= idx (their chains are released
+// by their own kernels, which the GPU runs in index order), so the first
+// run copies the loop state at that instant and later runs resume from
+// the copy for as long as SetOption touched only tensors >= idx. A run
+// that resumes below idx takes a new fork at idx on its way. SetOption
+// below the fork, Prepare, Clone, a changed ComputeScale or
+// ZeroCompression, and RecordOps fall back to a run from t=0.
+//
+// Stop: whenever resource r starts a job at time now, all the work r has
+// not yet served is still ahead of it, so Iter >= forward + now +
+// (load[r] - served[r]). The run ends at the first dispatch where that
+// reaches limit and reports stopped; the Result is then unfinished and
+// must not be read. A stopped run's true Iter is >= limit; a run that is
+// not stopped is exactly Run. A resumed run re-applies the test to the
+// dispatches it skipped, so (Iter, stopped) never depends on whether a
+// fork was used.
+//
+// idx < 0 takes and uses no fork; limit NoLimit never stops.
+func (e *Engine) Probe(idx int, limit time.Duration) (res *Result, stopped bool, err error) {
+	if e.RecordOps {
+		res, err = e.Run()
+		return res, false, err
+	}
+	stopped, err = e.run(&e.resScratch, idx, limit)
+	return &e.resScratch, stopped, err
+}
+
+// Events returns how many job completions the engine's runs have
+// simulated since it was built: the unit of event-loop work, so a count
+// where a wall-clock share would drift.
+func (e *Engine) Events() int { return e.events }
+
+// fork is the event loop's state at the instant tensor idx's backward
+// kernel completes, before that completion is processed: every later
+// event of the run follows from it and the chains of tensors >= idx.
+type fork struct {
+	ok  bool
+	idx int
+	// The configuration the state was taken under, beyond the chains.
+	zc    bool
+	scale float64
+
+	jobs      []leanJob // the five ready heaps, back to back
+	n         [numResources]int
+	cur       [numResources]leanJob
+	busyUntil [numResources]time.Duration
+	served    [numResources]time.Duration // Result.ResBusy so far
+	// gap is the stop test's left-hand side at each resource's latest
+	// dispatch, for a resumed run to re-apply under its own load.
+	gap     [numResources]time.Duration
+	finish  time.Duration
+	done    int
+	bw      int           // the next backward kernel to start
+	bwTotal time.Duration // all backward kernels, scaled
+}
+
+// run is the event loop behind Run, RunInto and Probe (which documents
+// idx and limit).
+func (e *Engine) run(res *Result, idx int, limit time.Duration) (stopped bool, err error) {
 	total := len(e.M.Tensors)
+	f := &e.fork
+	canFork := !e.RecordOps && idx >= 0
+	resume := canFork && f.ok && f.idx <= idx && f.zc == e.ZeroCompression && f.scale == e.ComputeScale
 
 	res.Makespan = 0
 	res.Iter = 0
 	res.Ops = res.Ops[:0]
-	res.ResBusy = [numResources]time.Duration{}
-	for r := range e.queues {
-		e.queues[r].n = 0
-		e.busyUntil[r] = -1
-		e.cur[r] = leanJob{}
+
+	var (
+		finish, bwTotal time.Duration
+		done            int
+		// Backward kernels are all ready at t=0 and the GPU takes them in
+		// index order, so they are not queued: bw is the next one, and it
+		// competes with the GPU's ready heap on priority — GPU compression
+		// of earlier tensors interleaves ahead of later kernels (Reason #1).
+		bw  int
+		gap [numResources]time.Duration
+		// dirty marks the resources dispatch must look at: a resource's
+		// (idle, queue-nonempty) state changes solely when it completes a
+		// job or receives a push, and the event loop marks exactly those,
+		// so every idle resource outside the mask is known to have an
+		// empty queue. Ascending resource order matches a full scan.
+		dirty uint32
+	)
+	if resume {
+		off := 0
+		for r := range e.queues {
+			n := f.n[r]
+			copy(e.queues[r].buf, f.jobs[off:off+n])
+			e.queues[r].n = n
+			off += n
+		}
+		e.cur, e.busyUntil = f.cur, f.busyUntil
+		res.ResBusy, gap = f.served, f.gap
+		finish, done, bw, bwTotal = f.finish, f.done, f.bw, f.bwTotal
+	} else {
+		res.ResBusy = [numResources]time.Duration{}
+		for r := range e.queues {
+			e.queues[r].n = 0
+			e.busyUntil[r] = idle
+			e.cur[r] = leanJob{}
+			gap[r] = math.MinInt64
+		}
+		for i := range e.M.Tensors {
+			bwTotal += e.scaleCompute(e.M.Tensors[i].Compute)
+		}
+		dirty = 1 << ResGPU
+	}
+	// takeAt is the job whose completion a new fork is taken at.
+	takeAt := int64(-1)
+	if canFork && !(resume && f.idx == idx) {
+		takeAt = jobPrio(idx, 0, -1)
 	}
 
-	// Backward kernels for every tensor are ready at t=0; GPU priority
-	// order runs them in index order, with GPU compression of earlier
-	// tensors interleaving ahead of later kernels (Reason #1).
-	for i := range e.M.Tensors {
-		e.push(ResGPU, leanJob{prio: jobPrio(i, 0, -1), ready: 0,
-			dur: e.scaleCompute(e.M.Tensors[i].Compute)})
+	// slack[r] is what now - served[r] must reach at a dispatch on r for
+	// forward + now + (load[r] - served[r]) to reach limit.
+	forward := e.scaleCompute(e.M.Forward)
+	slack := e.busy
+	slack[ResGPU] += bwTotal
+	for r := range slack {
+		slack[r] = limit - forward - slack[r]
+		stopped = stopped || gap[r] >= slack[r]
 	}
 
-	var now, finish time.Duration
-	done := 0
-	// dispatch checks only the resources in mask — a resource's
-	// (idle, queue-nonempty) state changes solely when it completes a
-	// job or receives a push, and the event loop marks exactly those
-	// dirty, so every idle resource outside the mask is known to have an
-	// empty queue. Ascending resource order matches a full scan.
-	dispatch := func(mask uint32) {
-		for mask != 0 {
+	events := 0
+	var now time.Duration
+	for !stopped {
+		for mask := dirty; mask != 0; {
 			r := bits.TrailingZeros32(mask)
 			mask &^= 1 << r
-			if e.busyUntil[r] < 0 && e.queues[r].n > 0 {
-				j := e.pop(Resource(r))
-				j.start = now
-				e.cur[r] = j
-				e.busyUntil[r] = now + j.dur
+			if e.busyUntil[r] != idle {
+				continue
+			}
+			var j leanJob
+			if q := &e.queues[r]; r == int(ResGPU) && bw < total && (q.n == 0 || jobPrio(bw, 0, -1) < q.buf[0].prio) {
+				j = leanJob{prio: jobPrio(bw, 0, -1), dur: e.scaleCompute(e.M.Tensors[bw].Compute)}
+				bw++
+			} else if q.n > 0 {
+				j = e.pop(Resource(r))
+			} else {
+				continue
+			}
+			j.start = now
+			e.cur[r] = j
+			e.busyUntil[r] = now + j.dur
+			gap[r] = now - res.ResBusy[r]
+			stopped = stopped || gap[r] >= slack[r]
+		}
+		if stopped {
+			break
+		}
+		// Find the earliest completion and the resources finishing then.
+		next, due := idle, uint32(0)
+		for r, t := range e.busyUntil {
+			if t < next {
+				next, due = t, 1<<r
+			} else if t == next {
+				due |= 1 << r
 			}
 		}
-	}
-	dispatch(1<<numResources - 1)
-	for {
-		// Find the earliest completion.
-		next := time.Duration(-1)
-		for r := range e.busyUntil {
-			if e.busyUntil[r] >= 0 && (next < 0 || e.busyUntil[r] < next) {
-				next = e.busyUntil[r]
-			}
-		}
-		if next < 0 {
+		if next == idle {
 			break
 		}
 		now = next
+		if e.cur[ResGPU].prio == takeAt && e.busyUntil[ResGPU] == now {
+			takeAt = -1
+			f.ok, f.idx, f.zc, f.scale = true, idx, e.ZeroCompression, e.ComputeScale
+			f.jobs = f.jobs[:0]
+			for r := range e.queues {
+				f.n[r] = e.queues[r].n
+				f.jobs = append(f.jobs, e.queues[r].buf[:e.queues[r].n]...)
+			}
+			f.cur, f.busyUntil = e.cur, e.busyUntil
+			f.served, f.gap = res.ResBusy, gap
+			f.finish, f.done, f.bw, f.bwTotal = finish, done, bw, bwTotal
+		}
 		// Complete everything finishing at this instant before
 		// dispatching, so same-instant arrivals compete on priority.
-		var dirty uint32
-		for r := range e.busyUntil {
-			if e.busyUntil[r] != now {
-				continue
-			}
+		dirty = due
+		for ; due != 0; due &= due - 1 {
+			r := bits.TrailingZeros32(due)
+			events++
 			j := e.cur[r]
-			e.busyUntil[r] = -1
-			dirty |= 1 << r
+			e.busyUntil[r] = idle
 			tensor := jobTensor(j.prio)
 			if e.RecordOps {
 				res.Ops = append(res.Ops, Op{
@@ -519,14 +696,17 @@ func (e *Engine) RunInto(res *Result) error {
 			})
 			dirty |= 1 << uint(spec.res)
 		}
-		dispatch(dirty)
+	}
+	e.events += events
+	if stopped {
+		return true, nil
 	}
 	if done != total {
-		return fmt.Errorf("timeline: %d of %d tensors completed (pipeline deadlock)", done, total)
+		return false, fmt.Errorf("timeline: %d of %d tensors completed (pipeline deadlock)", done, total)
 	}
 	res.Makespan = finish
-	res.Iter = e.scaleCompute(e.M.Forward) + finish
-	return nil
+	res.Iter = forward + finish
+	return false, nil
 }
 
 // scaleCompute applies the slow-device multiplier to a compute duration.
