@@ -33,9 +33,6 @@ func main() {
 	var (
 		cases    = flag.Int("cases", 200, "generated cases to run")
 		seed     = flag.Uint64("seed", 1, "base seed; case i uses seed+i")
-		relTol   = flag.Float64("rel-tol", 0, "oracle-vs-engine relative tolerance (0 = default)")
-		absTol   = flag.Duration("abs-tol", 0, "oracle-vs-engine absolute tolerance (0 = default)")
-		greedy   = flag.Float64("greedy-gap", 0, "allowed greedy gap over brute force (0 = default)")
 		verbose  = flag.Bool("v", false, "print progress lines")
 		failFast = flag.Bool("fail-fast", false, "stop after the first failing case")
 		listen   = flag.String("listen", "", "serve /metrics, /healthz, and /debug/pprof on this address during the run (e.g. 127.0.0.1:9090)")
@@ -46,13 +43,7 @@ func main() {
 		defer logx.Listen(log, *listen, serve.ObsHandler(obs.NewMetrics(), nil)).Close()
 	}
 
-	cfg := diff.Config{
-		Cases:     *cases,
-		Seed:      *seed,
-		RelTol:    *relTol,
-		AbsTol:    *absTol,
-		GreedyGap: *greedy,
-	}
+	cfg := diff.Config{Cases: *cases, Seed: *seed}
 	if *verbose {
 		cfg.Logf = func(format string, args ...any) {
 			log.Info(fmt.Sprintf(format, args...))

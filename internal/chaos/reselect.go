@@ -148,7 +148,6 @@ func Reselect(m *model.Model, c *cluster.Cluster, spec compress.Spec, prior *str
 	// The incumbent's predicted iteration time on the degraded topology.
 	eng := timeline.New(m, dc, dcm)
 	eng.RecordOps = false
-	eng.ComputeScale = gpuS
 	before, err := eng.IterTime(prior)
 	if err != nil {
 		return nil, nil, err
@@ -158,7 +157,6 @@ func Reselect(m *model.Model, c *cluster.Cluster, spec compress.Spec, prior *str
 	sel.Parallelism = opt.Parallelism
 	sel.Explain = opt.Explain
 	sel.ProbeDeadline = opt.ProbeDeadline
-	sel.SetComputeScale(gpuS)
 	req := opt.Tracer.Start("reselect")
 	sel.Trace = req
 	after, rep, err := sel.SelectFrom(prior)
@@ -220,6 +218,3 @@ func bottleneckScale(snapshot [][]float64, base float64) float64 {
 	}
 	return scale
 }
-
-// Spec re-exports compress.Spec construction for cmd wiring convenience.
-var _ = compress.Spec{}

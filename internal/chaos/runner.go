@@ -212,7 +212,6 @@ func (r *Runner) engineAt(t time.Duration) (*timeline.Engine, float64, float64, 
 	}
 	eng := timeline.New(r.M, r.curC, cm)
 	eng.RecordOps = false
-	eng.ComputeScale = gpuS
 	return eng, gpuS, cpuS, nil
 }
 

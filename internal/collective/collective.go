@@ -198,13 +198,3 @@ func GatherPayloads(in [][]*compress.Payload, root int) [][]*compress.Payload {
 	out[root] = all
 	return out
 }
-
-// BroadcastPayloads copies root's payload list to every node.
-func BroadcastPayloads(in [][]*compress.Payload, root int) [][]*compress.Payload {
-	nodes := len(in)
-	out := make([][]*compress.Payload, nodes)
-	for i := range out {
-		out[i] = append([]*compress.Payload(nil), in[root]...)
-	}
-	return out
-}

@@ -256,7 +256,7 @@ func TestAlltoallRegionMismatch(t *testing.T) {
 	}
 }
 
-func TestGatherAndBroadcastPayloads(t *testing.T) {
+func TestGatherPayloads(t *testing.T) {
 	c := compress.MustNew(compress.Spec{ID: compress.EFSignSGD})
 	rng := rand.New(rand.NewSource(7))
 	data := randData(rng, 4, 50)
@@ -270,12 +270,6 @@ func TestGatherAndBroadcastPayloads(t *testing.T) {
 		}
 		if len(gathered[i]) != want {
 			t.Fatalf("node %d holds %d payloads, want %d", i, len(gathered[i]), want)
-		}
-	}
-	bcast := BroadcastPayloads(gathered, 2)
-	for i := range bcast {
-		if len(bcast[i]) != 4 {
-			t.Fatalf("after broadcast node %d holds %d payloads", i, len(bcast[i]))
 		}
 	}
 }

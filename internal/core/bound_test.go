@@ -143,7 +143,7 @@ func TestBoundedSelectionMatchesUnboundedZoo(t *testing.T) {
 }
 
 // The other entry points share the sweep, seed and offload code but
-// reach it with different candidate sets, incumbents and engine flags.
+// reach it with different candidate sets, incumbents and cost models.
 func TestBoundedEntryPointsMatchUnbounded(t *testing.T) {
 	for seed := uint64(1); seed <= 200; seed++ {
 		cs := gen.Generate(seed, gen.Config{})
@@ -172,15 +172,16 @@ func TestBoundedEntryPointsMatchUnbounded(t *testing.T) {
 				prior = s
 			}
 
-			// Re-select on the same cluster with compute twice as slow,
+			// Re-select on the same cluster with the GPUs twice as slow,
 			// warm-started from the all-compressed strategy.
-			sel.SetComputeScale(2)
-			s, rep, err = sel.SelectFrom(prior)
+			slow := NewSelector(cs.Model, cs.Cluster, slowGPU(t, cm, 2))
+			slow.runAll = runAll
+			s, rep, err = slow.SelectFrom(prior)
 			got[k][1] = outcomeOf(t, s, rep, err)
 			tiles(rep)
 
-			ub := NewSelector(cs.Model, cs.Cluster, cm)
-			ub.runAll, ub.eng.ZeroCompression = runAll, true
+			ub := NewSelector(cs.Model, cs.Cluster, cm.WithFreeCompression())
+			ub.runAll = runAll
 			rep = &Report{}
 			if s, err = ub.Algorithm1(rep); err == nil {
 				rep.Iter, err = ub.iter(s, rep)
@@ -195,6 +196,16 @@ func TestBoundedEntryPointsMatchUnbounded(t *testing.T) {
 			t.Fatalf("%v: UpperBound %v (err %v), reference %v", cs, ub, err, got[0][2].Iter)
 		}
 	}
+}
+
+// slowGPU is cm with the GPUs scale times slower.
+func slowGPU(t *testing.T, cm *cost.Models, scale float64) *cost.Models {
+	t.Helper()
+	slow, err := cm.WithDeviceScale(scale, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return slow
 }
 
 // The big zoo models are too slow to run unbounded in tier-1, so their
@@ -233,11 +244,10 @@ func TestBigModelSelectionsPinned(t *testing.T) {
 // parentOrderSeed is the seed phase of a warm re-selection as the parent
 // commit ran it: the cold family first, every seed on the timeline, then
 // prior against the family's winner.
-func parentOrderSeed(t *testing.T, m *model.Model, c *cluster.Cluster, cm *cost.Models, scale float64, prior *strategy.Strategy) (string, int) {
+func parentOrderSeed(t *testing.T, m *model.Model, c *cluster.Cluster, cm *cost.Models, prior *strategy.Strategy) (string, int) {
 	t.Helper()
 	ref := NewSelector(m, c, cm)
 	ref.runAll = true
-	ref.SetComputeScale(scale)
 	rep := &Report{}
 	seed, err := ref.bestSeed(nil, rep, wtrace.NoParent)
 	if err == nil {
@@ -251,15 +261,14 @@ func parentOrderSeed(t *testing.T, m *model.Model, c *cluster.Cluster, cm *cost.
 // is strictly better, then the lowest-index minimal seed) at the parent's
 // evaluation count, and the whole SelectFrom agrees with running
 // everything. It returns how many of the family the incumbent dismissed.
-func assertWarmSeedMatchesParent(t *testing.T, name string, m *model.Model, c *cluster.Cluster, cm *cost.Models, scale float64, prior *strategy.Strategy) int {
+func assertWarmSeedMatchesParent(t *testing.T, name string, m *model.Model, c *cluster.Cluster, cm *cost.Models, prior *strategy.Strategy) int {
 	t.Helper()
-	wantSeed, wantEvals := parentOrderSeed(t, m, c, cm, scale, prior)
+	wantSeed, wantEvals := parentOrderSeed(t, m, c, cm, prior)
 	var full [2]outcome
 	rep := &Report{}
 	for k, runAll := range []bool{false, true} {
 		sel := NewSelector(m, c, cm)
 		sel.runAll = runAll
-		sel.SetComputeScale(scale)
 		if !runAll {
 			seed, err := sel.bestSeed(prior, rep, wtrace.NoParent)
 			if got := outcomeOf(t, seed, rep, err).Strategy; got != wantSeed || rep.Evals != wantEvals {
@@ -314,7 +323,7 @@ func TestWarmReselectionMatchesParentOrder(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertWarmSeedMatchesParent(t, path+"/"+f.Kind, m, dc, cost.MustModels(dc, spec), 1, healthy)
+			assertWarmSeedMatchesParent(t, path+"/"+f.Kind, m, dc, cost.MustModels(dc, spec), healthy)
 		}
 	}
 
@@ -339,7 +348,7 @@ func TestWarmReselectionMatchesParentOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		scale := []float64{1, 2.5}[r.Intn(2)]
-		dismissed += assertWarmSeedMatchesParent(t, cs.String(), cs.Model, dc, cost.MustModels(dc, cs.Spec), scale, prior)
+		dismissed += assertWarmSeedMatchesParent(t, cs.String(), cs.Model, dc, slowGPU(t, cost.MustModels(dc, cs.Spec), scale), prior)
 	}
 	if dismissed == 0 {
 		t.Error("no prior's F(S) dismissed a single seed: the warm incumbent is not reaching the seed phase")

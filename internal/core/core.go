@@ -271,13 +271,6 @@ func (sel *Selector) SetDevices(devs []cost.Device) {
 	}
 }
 
-// SetComputeScale sets the slow-device multiplier on the selector's
-// timeline engines: forward and backward compute take scale times longer
-// (1 = healthy). Worker-pool clones mirror the setting.
-func (sel *Selector) SetComputeScale(scale float64) {
-	sel.eng.ComputeScale = scale
-}
-
 func (sel *Selector) allows(dev cost.Device) bool {
 	for _, d := range sel.devices {
 		if d == dev {
@@ -914,10 +907,9 @@ func (sel *Selector) sweepFrom(s *strategy.Strategy, rep *Report, parent int) (*
 
 // UpperBound computes the §5.1 Upper Bound: the throughput of
 // compression-enabled DDL if compression were free and contention-less.
-// It runs the same greedy selection on a zero-compression-cost engine.
+// It runs the same greedy selection on cm's free-compression copy.
 func UpperBound(m *model.Model, c *cluster.Cluster, cm *cost.Models) (time.Duration, error) {
-	sel := NewSelector(m, c, cm)
-	sel.eng.ZeroCompression = true
+	sel := NewSelector(m, c, cm.WithFreeCompression())
 	rep := &Report{}
 	s, err := sel.Algorithm1(rep)
 	if err != nil {

@@ -109,7 +109,9 @@ func (sel *Selector) explainDecisions(s *strategy.Strategy, rep *Report, parent 
 		// candidate on every allowed device. The chosen option may be a
 		// CPU-offloaded variant that is not in the (GPU) candidate set,
 		// and conversely the GPU set omits CPU alternatives, so device
-		// variants are expanded here and deduplicated by Key.
+		// variants are expanded here and deduplicated by Key. onDevice
+		// hands back the same variant every time, so its chain is memoized
+		// once per selection rather than re-derived per tensor.
 		probes = probes[:0]
 		clear(seen)
 		add := func(o strategy.Option) {
@@ -125,7 +127,7 @@ func (sel *Selector) explainDecisions(s *strategy.Strategy, rep *Report, parent 
 				continue
 			}
 			for _, dev := range sel.devices {
-				add(cand.WithDevice(dev))
+				add(sel.onDevice(cand, dev))
 			}
 		}
 

@@ -8,6 +8,7 @@ import (
 	"espresso/internal/compress"
 	"espresso/internal/cost"
 	"espresso/internal/model"
+	"espresso/internal/obs/wtrace"
 	"espresso/internal/strategy"
 )
 
@@ -131,6 +132,34 @@ func TestExplainDeterministicAcrossParallelism(t *testing.T) {
 					i, j, d1.Candidates[j].Iter, d4.Candidates[j].Iter)
 			}
 		}
+	}
+}
+
+// The explain pass probes every candidate on every device. Each device
+// variant must be the selector's one copy of it (onDevice), or the chain
+// memo, keyed on the option's Steps array, misses on every probe: the
+// chain is derived again and both the memo and its arena grow. Once a
+// pass has warmed the memo, another costs about one allocation per
+// candidate (the dedup key) and no chain derivations.
+func TestExplainReusesMemoizedChains(t *testing.T) {
+	m, c := model.LSTM(), cluster.NVLinkTestbed(8)
+	sel := NewSelector(m, c, cost.MustModels(c, compress.Spec{ID: compress.DGC, Ratio: 0.01}))
+	sel.Explain = true
+	s, rep, err := sel.Select()
+	if err != nil {
+		t.Fatal(err)
+	}
+	probes := 0
+	for _, d := range rep.Decisions {
+		probes += len(d.Candidates)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if err := sel.explainDecisions(s, rep, wtrace.NoParent); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1.25*float64(probes) {
+		t.Errorf("a warm explain pass over %d probes allocates %v times: device variants are re-deriving their chains", probes, allocs)
 	}
 }
 

@@ -20,8 +20,8 @@ import (
 
 // engines returns the evaluation pool: the selector's own engine at
 // index 0 plus Parallelism-1 clones, created lazily and reused across
-// calls. Clones share the read-only model/cluster/cost state, never
-// record ops, and mirror the master's ZeroCompression flag.
+// calls. Clones share the read-only model/cluster/cost state and never
+// record ops.
 func (sel *Selector) engines() []*timeline.Engine {
 	w := sel.Parallelism
 	if w < 1 {
@@ -35,12 +35,7 @@ func (sel *Selector) engines() []*timeline.Engine {
 		eng.RecordOps = false
 		sel.pool = append(sel.pool, eng)
 	}
-	pool := sel.pool[:w]
-	for _, eng := range pool[1:] {
-		eng.ZeroCompression = sel.eng.ZeroCompression
-		eng.ComputeScale = sel.eng.ComputeScale
-	}
-	return pool
+	return sel.pool[:w]
 }
 
 // workerWindow accumulates one fan-out worker's wall-clock window: its

@@ -202,11 +202,15 @@ type Models struct {
 	gpu        deviceProfile
 	cpu        deviceProfile
 	stagingBps float64
-	// gpuScale/cpuScale multiply compression and decompression times on
-	// the respective device (1 = healthy). WithDeviceScale sets them; the
+	// gpuScale/cpuScale multiply the work on the respective device
+	// (1 = healthy): compression and decompression on both, forward and
+	// backward compute on the GPU too. WithDeviceScale sets them; the
 	// chaos layer uses them to model slow devices.
 	gpuScale float64
 	cpuScale float64
+	// free makes compression, decompression and staging cost nothing
+	// (WithFreeCompression).
+	free bool
 
 	// comp is the Spec's compressor, built once: WireBytes sits on the
 	// strategy search's chain-derivation hot path and must not
@@ -254,9 +258,10 @@ func NewModels(c *cluster.Cluster, spec compress.Spec) (*Models, error) {
 	}, nil
 }
 
-// WithDeviceScale returns a copy of the models whose compression and
-// decompression times are multiplied by gpuScale/cpuScale — a slowed
-// device (thermal throttling, contended cores). Scales must be >= 1: a
+// WithDeviceScale returns a copy of the models for slowed devices
+// (thermal throttling, contended cores): compression and decompression
+// times are multiplied by gpuScale/cpuScale, and so is forward and
+// backward compute on the GPU (ComputeTime). Scales must be >= 1: a
 // fault can only make a device slower.
 func (m *Models) WithDeviceScale(gpuScale, cpuScale float64) (*Models, error) {
 	if gpuScale < 1 || cpuScale < 1 {
@@ -268,16 +273,35 @@ func (m *Models) WithDeviceScale(gpuScale, cpuScale float64) (*Models, error) {
 	return &out, nil
 }
 
+// WithFreeCompression returns a copy of the models under which every
+// compression, decompression and staging operation is free and takes no
+// resource but the GPU stream — the Upper Bound configuration of §5.1.
+// Compute and communication are priced as before.
+func (m *Models) WithFreeCompression() *Models {
+	out := *m
+	out.free = true
+	return &out
+}
+
+// FreeCompression reports whether the models come from
+// WithFreeCompression.
+func (m *Models) FreeCompression() bool { return m.free }
+
+// ComputeTime is the time a forward or backward kernel profiled at d
+// takes on the (possibly slowed) GPU.
+func (m *Models) ComputeTime(d time.Duration) time.Duration {
+	if m.gpuScale == 1 {
+		return d
+	}
+	return time.Duration(float64(d) * m.gpuScale)
+}
+
 // scaleOf is the fault multiplier for dev.
 func (m *Models) scaleOf(dev Device) float64 {
-	s := m.gpuScale
 	if dev == CPU {
-		s = m.cpuScale
+		return m.cpuScale
 	}
-	if s == 0 { // zero-value Models built without NewModels
-		return 1
-	}
-	return s
+	return m.gpuScale
 }
 
 // Profile is the public view of one device's calibrated compression
@@ -296,7 +320,7 @@ type Profile struct {
 	// PerPayload is the extra dispatch per additional payload decompressed.
 	PerPayload time.Duration
 	// Scale is the fault multiplier currently applied to the device
-	// (1 = healthy).
+	// (1 = healthy); the GPU's also stretches compute (ComputeTime).
 	Scale float64
 }
 
@@ -371,17 +395,11 @@ func (m *Models) StagingTime(bytes int64) time.Duration {
 // WireBytes reports the compressed wire size of denseBytes of FP32
 // gradient under the configured algorithm.
 func (m *Models) WireBytes(denseBytes int64) int64 {
-	comp := m.comp
-	if comp == nil {
-		// Models built by hand (tests) rather than NewModels; do not
-		// cache — Models are shared read-only across worker engines.
-		comp = compress.MustNew(m.Spec)
-	}
 	n := int(denseBytes / 4)
 	if n == 0 && denseBytes > 0 {
 		n = 1
 	}
-	return int64(comp.WireBytes(n))
+	return int64(m.comp.WireBytes(n))
 }
 
 // Ratio reports the wire-size ratio of the configured algorithm on a

@@ -162,6 +162,43 @@ func TestDecompressTimeGrowsWithCopies(t *testing.T) {
 	}
 }
 
+// A slowed GPU stretches everything the GPU runs — forward and backward
+// compute as well as compression — and nothing the host runs.
+func TestDeviceScaleSlowsGPUWorkOnly(t *testing.T) {
+	m := MustModels(cluster.NVLinkTestbed(8), compress.Spec{ID: compress.DGC, Ratio: 0.01})
+	slow, err := m.WithDeviceScale(2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const s, d = int64(16 << 20), 3 * time.Millisecond
+	if m.ComputeTime(d) != d || slow.ComputeTime(d) != 2*d {
+		t.Errorf("compute %v: healthy %v, GPU x2 %v", d, m.ComputeTime(d), slow.ComputeTime(d))
+	}
+	if got, want := slow.CompressTime(GPU, s), 2*m.CompressTime(GPU, s); got != want {
+		t.Errorf("GPU compression x2 = %v, want %v", got, want)
+	}
+	if got, want := slow.DecompressTime(GPU, s, 4), 2*m.DecompressTime(GPU, s, 4); got != want {
+		t.Errorf("GPU decompression x2 = %v, want %v", got, want)
+	}
+	if slow.CompressTime(CPU, s) != m.CompressTime(CPU, s) || slow.DecompressTime(CPU, s, 4) != m.DecompressTime(CPU, s, 4) ||
+		slow.StagingTime(s) != m.StagingTime(s) {
+		t.Error("a slowed GPU changed host compression or staging")
+	}
+	if slow.Profile(GPU).Scale != 2 || slow.Profile(CPU).Scale != 1 {
+		t.Errorf("profile scales %v/%v, want 2/1", slow.Profile(GPU).Scale, slow.Profile(CPU).Scale)
+	}
+	if _, err := m.WithDeviceScale(0.5, 1); err == nil {
+		t.Error("a device scale below 1 was accepted")
+	}
+}
+
+func TestFreeCompressionIsACopy(t *testing.T) {
+	m := MustModels(cluster.NVLinkTestbed(8), compress.Spec{ID: compress.DGC, Ratio: 0.01})
+	if free := m.WithFreeCompression(); !free.FreeCompression() || m.FreeCompression() {
+		t.Fatalf("free %v, original %v: want only the copy free", free.FreeCompression(), m.FreeCompression())
+	}
+}
+
 func TestStagingTime(t *testing.T) {
 	c := cluster.NVLinkTestbed(8)
 	m := MustModels(c, compress.Spec{ID: compress.EFSignSGD})

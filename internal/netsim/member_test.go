@@ -38,15 +38,11 @@ func TestMemberLeaveFailsFast(t *testing.T) {
 // again; the membership round-trips.
 func TestMemberRejoin(t *testing.T) {
 	nw := MustNew(3, 0, 1e9)
-	if err := nw.SetMember(2, false); err != nil {
-		t.Fatal(err)
-	}
+	apply(t, nw, Transition{Src: 2, Dst: 2, Loss: -1, Member: MemberLeave})
 	if got := nw.ActiveNodes(); len(got) != 2 || got[0] != 0 || got[1] != 1 {
 		t.Fatalf("active = %v, want [0 1]", got)
 	}
-	if err := nw.SetMember(2, true); err != nil {
-		t.Fatal(err)
-	}
+	apply(t, nw, Transition{Src: 2, Dst: 2, Loss: -1, Member: MemberJoin})
 	if _, err := nw.RingAllreduce(1 << 20); err != nil {
 		t.Fatalf("collective after rejoin failed: %v", err)
 	}
@@ -56,9 +52,7 @@ func TestMemberRejoin(t *testing.T) {
 // malformed survivor sets.
 func TestRestrictSlicesTopology(t *testing.T) {
 	nw := MustNew(4, time.Microsecond, 1e9)
-	if err := nw.SetLink(0, 2, 5e8); err != nil {
-		t.Fatal(err)
-	}
+	apply(t, nw, Transition{Src: 0, Dst: 2, Bps: 5e8, Loss: -1})
 	sub, err := nw.Restrict([]int{0, 2, 3})
 	if err != nil {
 		t.Fatal(err)
@@ -88,9 +82,7 @@ func TestRetransmissionExhaustionAccounting(t *testing.T) {
 	nw := MustNew(2, 0, 1e9)
 	nw.Seed(1)
 	nw.SetRecovery(Recovery{Timeout: time.Microsecond, MaxAttempts: 3})
-	if err := nw.SetLoss(0.999999); err != nil {
-		t.Fatal(err)
-	}
+	apply(t, nw, Transition{Src: -1, Loss: 0.999999})
 	_, err := nw.RingAllreduce(1 << 20)
 	var de *DeliveryError
 	if !errors.As(err, &de) {

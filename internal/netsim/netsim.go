@@ -75,20 +75,6 @@ func MustNew(n int, alpha time.Duration, bps float64) *Network {
 	return nw
 }
 
-// SetLink overrides the bandwidth of the src->dst link (stragglers,
-// oversubscription). Out-of-range indices and non-positive bandwidths are
-// errors, not panics: fault plans come from user JSON.
-func (nw *Network) SetLink(src, dst int, bps float64) error {
-	if src < 0 || src >= nw.n || dst < 0 || dst >= nw.n {
-		return fmt.Errorf("netsim: link %d->%d out of range for %d nodes", src, dst, nw.n)
-	}
-	if bps <= 0 {
-		return fmt.Errorf("netsim: link %d->%d bandwidth %g B/s, want > 0", src, dst, bps)
-	}
-	nw.bps[src][dst] = bps
-	return nil
-}
-
 // Snapshot returns a deep copy of the current link-bandwidth matrix
 // ([src][dst], bytes/s) — the degraded-topology view the chaos controller
 // feeds back into strategy selection.
@@ -117,17 +103,6 @@ func (nw *Network) ActiveNodes() []int {
 		}
 	}
 	return out
-}
-
-// SetMember deactivates (up = false) or reactivates a node immediately.
-// Scheduled membership changes go through Program instead, so they cross
-// the virtual clock deterministically.
-func (nw *Network) SetMember(node int, up bool) error {
-	if node < 0 || node >= nw.n {
-		return fmt.Errorf("netsim: member %d out of range for %d nodes", node, nw.n)
-	}
-	nw.active[node] = up
-	return nil
 }
 
 // Restrict builds a fresh network over the surviving nodes: the link
@@ -171,15 +146,6 @@ func (nw *Network) Now() time.Duration { return nw.eng.Now() }
 // SetRecovery replaces the retransmission policy; zero fields fall back
 // to DefaultRecovery values.
 func (nw *Network) SetRecovery(r Recovery) { nw.rec = r.withDefaults() }
-
-// SetLoss sets the current message-loss probability.
-func (nw *Network) SetLoss(rate float64) error {
-	if rate < 0 || rate >= 1 {
-		return fmt.Errorf("netsim: loss rate %g, want [0, 1)", rate)
-	}
-	nw.loss = rate
-	return nil
-}
 
 // Seed seeds the private PRNG that decides message loss. Identical seeds
 // and plans produce bit-identical traffic.

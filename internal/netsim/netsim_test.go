@@ -84,9 +84,7 @@ func TestStragglerSlowsRing(t *testing.T) {
 	base := ok(t)(fast.RingAllreduce(bytes))
 
 	slow := MustNew(n, 0, bps)
-	if err := slow.SetLink(3, 4, bps/4); err != nil {
-		t.Fatal(err)
-	}
+	apply(t, slow, Transition{Src: 3, Dst: 4, Bps: bps / 4, Loss: -1})
 	degraded := ok(t)(slow.RingAllreduce(bytes))
 	if degraded <= base {
 		t.Fatalf("straggler did not slow the ring: %v <= %v", degraded, base)
@@ -131,8 +129,8 @@ func TestSelfSendPanics(t *testing.T) {
 	nw.send(1, 1, 10, func() {})
 }
 
-// Construction and link mutation reject invalid arguments with errors,
-// not panics: fault plans come from user JSON.
+// Construction and link transitions reject invalid arguments with
+// errors, not panics: fault plans come from user JSON.
 func TestConstructionAndLinkErrors(t *testing.T) {
 	if _, err := New(0, 0, bps); err == nil {
 		t.Error("New accepted 0 nodes")
@@ -144,22 +142,30 @@ func TestConstructionAndLinkErrors(t *testing.T) {
 		t.Error("New accepted zero bandwidth")
 	}
 	nw := MustNew(4, 0, bps)
-	for _, bad := range [][3]float64{{-1, 0, bps}, {0, 4, bps}, {4, 0, bps}, {0, 1, 0}, {0, 1, -5}} {
-		if err := nw.SetLink(int(bad[0]), int(bad[1]), bad[2]); err == nil {
-			t.Errorf("SetLink(%v) accepted invalid arguments", bad)
+	for _, bad := range [][3]float64{{-2, 0, bps}, {0, 4, bps}, {4, 0, bps}, {0, 1, 0}, {0, 1, -5}} {
+		if err := nw.Program([]Transition{{Src: int(bad[0]), Dst: int(bad[1]), Bps: bad[2], Loss: -1}}); err == nil {
+			t.Errorf("link transition %v accepted invalid arguments", bad)
 		}
 	}
-	if err := nw.SetLink(0, 1, bps/2); err != nil {
-		t.Errorf("valid SetLink failed: %v", err)
+	if err := nw.Program([]Transition{{Src: 0, Dst: 1, Bps: bps / 2, Loss: -1}}); err != nil {
+		t.Errorf("valid link transition failed: %v", err)
 	}
+}
+
+// apply programs one transition at t=0 and applies it at once, the way a
+// fault plan's opening window lands before the first collective.
+func apply(t *testing.T, nw *Network, tr Transition) {
+	t.Helper()
+	if err := nw.Program([]Transition{tr}); err != nil {
+		t.Fatal(err)
+	}
+	nw.Idle(0)
 }
 
 // Snapshot is a deep copy of the current link state.
 func TestSnapshotIsDeepCopy(t *testing.T) {
 	nw := MustNew(3, 0, bps)
-	if err := nw.SetLink(1, 2, bps/8); err != nil {
-		t.Fatal(err)
-	}
+	apply(t, nw, Transition{Src: 1, Dst: 2, Bps: bps / 8, Loss: -1})
 	snap := nw.Snapshot()
 	if snap[1][2] != bps/8 || snap[0][1] != bps {
 		t.Fatalf("snapshot does not reflect link state: %v", snap)
@@ -176,9 +182,7 @@ func TestLossRetransmitsDeterministically(t *testing.T) {
 	run := func(seed uint64) (time.Duration, FaultStats) {
 		nw := MustNew(4, time.Microsecond, 1e9)
 		nw.Seed(seed)
-		if err := nw.SetLoss(0.2); err != nil {
-			t.Fatal(err)
-		}
+		apply(t, nw, Transition{Src: -1, Loss: 0.2})
 		d := ok(t)(nw.RingAllreduce(4 << 20))
 		return d, nw.Stats()
 	}
@@ -207,9 +211,7 @@ func TestDeliveryErrorAfterMaxAttempts(t *testing.T) {
 	nw := MustNew(2, 0, 1e9)
 	nw.Seed(1)
 	nw.SetRecovery(Recovery{Timeout: time.Microsecond, MaxAttempts: 2})
-	if err := nw.SetLoss(0.999999); err != nil {
-		t.Fatal(err)
-	}
+	apply(t, nw, Transition{Src: -1, Loss: 0.999999})
 	_, err := nw.RingAllreduce(1 << 20)
 	var de *DeliveryError
 	if !errors.As(err, &de) {
@@ -368,9 +370,7 @@ func TestLinkStatsAndObserve(t *testing.T) {
 // heterogeneity signal the closed forms cannot express.
 func TestLinkStatsExposeStraggler(t *testing.T) {
 	nw := MustNew(4, time.Microsecond, 1e9)
-	if err := nw.SetLink(0, 1, 1e8); err != nil { // node 0's egress is 10x slower
-		t.Fatal(err)
-	}
+	apply(t, nw, Transition{Src: 0, Dst: 1, Bps: 1e8, Loss: -1}) // node 0's egress is 10x slower
 	ok(t)(nw.RingAllreduce(4 << 20))
 	stats := nw.LinkStats()
 	if stats[0].Busy <= stats[1].Busy {

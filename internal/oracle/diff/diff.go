@@ -53,25 +53,26 @@ type Config struct {
 	// Seed is the base seed (default 1).
 	Seed uint64
 
-	// RelTol and AbsTol bound the oracle-vs-engine disagreement on
-	// single-chain cases. The oracle's formulas are written to match a
-	// correct engine bit-for-bit, so the defaults (1e-9, 100ns) only
-	// absorb duration rounding.
-	RelTol float64
-	AbsTol time.Duration
-
-	// GreedyGap is the allowed fractional gap of greedy selection over
-	// brute force on small instances (default 5%, the bound the paper's
-	// §4.4 validation and the repo's TestNearOptimalVsBruteForce use).
-	GreedyGap float64
-
-	// ChainOptions caps how many options the single-chain check samples
-	// per case from the full enumerated set (default 40).
-	ChainOptions int
-
 	// Logf, when set, receives progress lines.
 	Logf func(format string, args ...any)
 }
+
+const (
+	// relTol and absTol bound the oracle-vs-engine disagreement on
+	// single-chain cases. The oracle's formulas are written to match a
+	// correct engine bit-for-bit, so they only absorb duration rounding.
+	relTol = 1e-9
+	absTol = 100 * time.Nanosecond
+
+	// greedyGap is the allowed fractional gap of greedy selection over
+	// brute force on small instances: 5%, the bound the paper's §4.4
+	// validation and the repo's TestNearOptimalVsBruteForce use.
+	greedyGap = 0.05
+
+	// chainSamples caps how many options the single-chain check samples
+	// per case from the full enumerated set.
+	chainSamples = 40
+)
 
 func (c Config) withDefaults() Config {
 	if c.Cases <= 0 {
@@ -79,18 +80,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.RelTol <= 0 {
-		c.RelTol = 1e-9
-	}
-	if c.AbsTol <= 0 {
-		c.AbsTol = 100 * time.Nanosecond
-	}
-	if c.GreedyGap <= 0 {
-		c.GreedyGap = 0.05
-	}
-	if c.ChainOptions <= 0 {
-		c.ChainOptions = 40
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -172,7 +161,7 @@ func (c *caseRun) fail(check, format string, args ...any) {
 
 func (c *caseRun) count(check string) { c.sum.Checks[check]++ }
 
-// within checks |a-b| <= AbsTol + RelTol*max(|a|,|b|).
+// within checks |a-b| <= absTol + relTol*max(|a|,|b|).
 func (c *caseRun) within(a, b time.Duration) bool {
 	d := a - b
 	if d < 0 {
@@ -182,7 +171,7 @@ func (c *caseRun) within(a, b time.Duration) bool {
 	if b > m {
 		m = b
 	}
-	return d <= c.cfg.AbsTol+time.Duration(c.cfg.RelTol*float64(m))
+	return d <= absTol+time.Duration(relTol*float64(m))
 }
 
 func (c *caseRun) run() error {
@@ -225,7 +214,7 @@ func (c *caseRun) singleChain() error {
 
 	opts := strategy.Enumerate(cs.Cluster)
 	r := gen.New(c.seed ^ 0x636861696e) // "chain": option sampling stream
-	for _, opt := range sample(r, opts, c.cfg.ChainOptions) {
+	for _, opt := range sample(r, opts, chainSamples) {
 		s := strategy.Uniform(1, opt)
 		want, err := pred.SerialIter(s)
 		if err != nil {
@@ -281,11 +270,11 @@ func (c *caseRun) fullCase() error {
 	// runs the same compressed-candidates trajectory SelectAllCompressed
 	// does and keeps the better endpoint.
 	c.count("select-fp32")
-	if repSel.Iter > fp32Iter+c.cfg.AbsTol {
+	if repSel.Iter > fp32Iter+absTol {
 		c.fail("select-fp32", "Select %v slower than FP32 %v on %v", repSel.Iter, fp32Iter, cs)
 	}
 	c.count("select-allcomp")
-	if repSel.Iter > repAll.Iter+c.cfg.AbsTol {
+	if repSel.Iter > repAll.Iter+absTol {
 		c.fail("select-allcomp", "Select %v exceeds SelectAllCompressed %v by %.2f%% on %v",
 			repSel.Iter, repAll.Iter, 100*float64(repSel.Iter-repAll.Iter)/float64(repAll.Iter), cs)
 	}
@@ -304,7 +293,7 @@ func (c *caseRun) fullCase() error {
 			return err
 		}
 		c.count("bracket")
-		if it < lo-c.cfg.AbsTol || it > hi+c.cfg.AbsTol {
+		if it < lo-absTol || it > hi+absTol {
 			c.fail("bracket", "engine %v outside oracle bracket [%v, %v] on %v", it, lo, hi, cs)
 		}
 	}
@@ -424,7 +413,7 @@ func (c *caseRun) betaScaling(cs *gen.Case, pred *oracle.Predictor, eng *timelin
 	engS := timeline.New(cs.Model, scaled, cmS)
 	engS.RecordOps = false
 
-	slack := 2*time.Microsecond + c.cfg.AbsTol
+	slack := 2*time.Microsecond + absTol
 	r := gen.New(c.seed ^ 0x62657461) // "beta"
 	for _, opt := range sample(r, strategy.Enumerate(cs.Cluster), 8) {
 		base, err := pred.Option(0, opt)
@@ -484,7 +473,7 @@ func (c *caseRun) addTensor(cs *gen.Case, cm *cost.Models, eng *timeline.Engine,
 			return err
 		}
 		c.count("add-tensor")
-		if grown+c.cfg.AbsTol < base {
+		if grown+absTol < base {
 			c.fail("add-tensor", "iter shrank from %v to %v after appending a tensor (option %s) on %v",
 				base, grown, opt.Key(), cs)
 		}
@@ -520,9 +509,9 @@ func (c *caseRun) greedyBrute() error {
 	// opts, so it may legitimately beat the restricted brute force; the
 	// claim is only that it never falls more than the bound short.
 	c.count("greedy-brute")
-	if gap := float64(rep.Iter-bfIter) / float64(bfIter); gap > c.cfg.GreedyGap {
+	if gap := float64(rep.Iter-bfIter) / float64(bfIter); gap > greedyGap {
 		c.fail("greedy-brute", "greedy %v vs brute-force optimum %v: gap %.2f%% exceeds %.0f%% on %v",
-			rep.Iter, bfIter, 100*gap, 100*c.cfg.GreedyGap, cs)
+			rep.Iter, bfIter, 100*gap, 100*greedyGap, cs)
 	}
 	return nil
 }

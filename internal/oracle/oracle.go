@@ -214,6 +214,12 @@ func (p *Predictor) profile(dev cost.Device) cost.Profile {
 	return p.gpu
 }
 
+// compute prices a forward or backward kernel profiled at d on the GPU,
+// which a slow-device fault stretches like GPU compression.
+func (p *Predictor) compute(d time.Duration) time.Duration {
+	return time.Duration(float64(d) * p.gpu.Scale)
+}
+
 // compressTime prices compressing dense bytes on dev: a fixed launch
 // overhead plus streaming over the dense input, times the device's fault
 // scale. FP32 (zero-throughput profile) is free.
@@ -386,13 +392,13 @@ func (p *Predictor) SerialIter(s *strategy.Strategy) (time.Duration, error) {
 		return 0, fmt.Errorf("oracle: strategy covers %d tensors, model has %d",
 			len(s.PerTensor), len(p.M.Tensors))
 	}
-	total := p.M.Forward
+	total := p.compute(p.M.Forward)
 	for i, opt := range s.PerTensor {
 		b, err := p.Option(i, opt)
 		if err != nil {
 			return 0, err
 		}
-		total += p.M.Tensors[i].Compute + b.Total()
+		total += p.compute(p.M.Tensors[i].Compute) + b.Total()
 	}
 	return total, nil
 }
@@ -415,8 +421,9 @@ func (p *Predictor) LowerBound(s *strategy.Strategy) (time.Duration, error) {
 		if err != nil {
 			return 0, err
 		}
-		computePrefix += p.M.Tensors[i].Compute
-		busy[ResGPU] += p.M.Tensors[i].Compute
+		kernel := p.compute(p.M.Tensors[i].Compute)
+		computePrefix += kernel
+		busy[ResGPU] += kernel
 		for _, ph := range b.Phases {
 			busy[ph.Res] += ph.Dur
 		}
@@ -430,7 +437,7 @@ func (p *Predictor) LowerBound(s *strategy.Strategy) (time.Duration, error) {
 			bound = d
 		}
 	}
-	return p.M.Forward + bound, nil
+	return p.compute(p.M.Forward) + bound, nil
 }
 
 // Bounds returns the oracle's bracket on the engine's iteration time.

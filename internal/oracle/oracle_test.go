@@ -136,6 +136,34 @@ func TestBoundsOrdered(t *testing.T) {
 	}
 }
 
+// A slowed GPU stretches compute as the cost models say: at GPU x2 an
+// uncompressed single-tensor job's serial iteration gains exactly one
+// more forward pass and backward kernel, and its bound stays in step.
+func TestSlowGPUStretchesCompute(t *testing.T) {
+	c := cluster.NVLinkTestbed(4)
+	fwd, bw := 700*time.Microsecond, 2*time.Millisecond
+	m := model.Synthetic("one", []int{1 << 20}, []time.Duration{bw}, fwd)
+	cm := cost.MustModels(c, compress.Spec{ID: compress.DGC, Ratio: 0.01})
+	slow, err := cm.WithDeviceScale(2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := strategy.Uniform(1, strategy.NoCompression(c))
+	var lo, hi [2]time.Duration
+	for k, models := range []*cost.Models{cm, slow} {
+		p, err := New(m, c, models)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lo[k], hi[k], err = p.Bounds(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if hi[1]-hi[0] != fwd+bw || lo[1]-lo[0] != fwd+bw {
+		t.Fatalf("GPU x2 moved the bracket [%v, %v] to [%v, %v], want both up by %v", lo[0], hi[0], lo[1], hi[1], fwd+bw)
+	}
+}
+
 // Mismatched strategy length and out-of-range tensor index are errors,
 // not panics.
 func TestPredictorErrors(t *testing.T) {

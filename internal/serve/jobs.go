@@ -14,6 +14,8 @@ import (
 	"espresso/internal/chaos"
 	"espresso/internal/core"
 	"espresso/internal/obs"
+	"espresso/internal/obs/flight"
+	"espresso/internal/obs/wtrace"
 	"espresso/internal/oracle/diff"
 	"espresso/internal/store"
 )
@@ -27,6 +29,10 @@ type executor struct {
 	log      *slog.Logger
 	m        *obs.Metrics
 	deadline time.Duration
+	// tracer and flight receive chaos jobs' re-selections, as they receive
+	// synchronous selections.
+	tracer *wtrace.Tracer
+	flight *flight.Recorder
 
 	sem     chan struct{}
 	baseCtx context.Context
@@ -47,14 +53,16 @@ func (e *executor) gauge(name string, c *atomic.Int64, delta int64) {
 	e.m.Gauge(name).Set(float64(c.Add(delta)))
 }
 
-func newExecutor(st *store.Store, log *slog.Logger, m *obs.Metrics, workers int, deadline time.Duration) *executor {
+func newExecutor(cfg Config) *executor {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &executor{
-		st:       st,
-		log:      log,
-		m:        m,
-		deadline: deadline,
-		sem:      make(chan struct{}, workers),
+		st:       cfg.Store,
+		log:      cfg.Log,
+		m:        cfg.Metrics,
+		deadline: cfg.JobDeadline,
+		tracer:   cfg.Tracer,
+		flight:   cfg.Flight,
+		sem:      make(chan struct{}, cfg.Workers),
 		baseCtx:  ctx,
 		stop:     cancel,
 		cancels:  make(map[string]context.CancelFunc),
@@ -209,6 +217,7 @@ func (e *executor) runChaos(ctx context.Context, req client.JobRequest) (string,
 		return "", fmt.Errorf("building runner: %w", err)
 	}
 	runner.Deterministic = true
+	runner.Tracer, runner.Flight = e.tracer, e.flight
 
 	iters := req.Iters
 	if iters == 0 {

@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -15,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"espresso/client"
 	"espresso/internal/core"
 	"espresso/internal/cost"
 	"espresso/internal/gen"
@@ -247,6 +249,54 @@ func TestFlightEndpoints(t *testing.T) {
 	if code, _, _ := get(t, url+"/debug/flight/r00000000"); code != http.StatusNotFound {
 		t.Fatalf("unknown ID: %d, want 404", code)
 	}
+}
+
+// A chaos job whose monitor trips re-selects mid-run. The re-selection
+// lands in the server's flight recorder as an anomaly, as it does for
+// espresso-sim and the chaos runner, and watching it changes no byte of
+// the persisted report.
+func TestChaosReselectReachesFlight(t *testing.T) {
+	job := client.JobRequest{Kind: "chaos", Seed: 1, Iters: 4, Plan: json.RawMessage(
+		`{"seed":7,"monitor":{"factor":1.2,"consecutive":2},"faults":[{"kind":"straggler","src":-1,"scale":0.1,"start":"0s"}]}`)}
+	report := func(e *testServer) []byte {
+		t.Helper()
+		ctx := context.Background()
+		js, err := e.cl.SubmitJob(ctx, job)
+		if err != nil {
+			t.Fatalf("SubmitJob: %v", err)
+		}
+		done, err := e.cl.WaitJob(ctx, js.ID, 5*time.Millisecond)
+		if err != nil || done.State != "succeeded" {
+			t.Fatalf("chaos job: %+v (err %v)", done, err)
+		}
+		raw, err := e.cl.Report(ctx, done.ReportID)
+		if err != nil {
+			t.Fatalf("Report: %v", err)
+		}
+		return raw
+	}
+	traced := newTestServer(t, serve.Config{Tracer: wtrace.New(), Flight: flight.New(flight.Config{})})
+	got := report(traced)
+	if want := report(newTestServer(t, serve.Config{})); !bytes.Equal(got, want) {
+		t.Fatalf("tracing the job changed its report\n got %s\nwant %s", got, want)
+	}
+	if !bytes.Contains(got, []byte(`"reselected"`)) {
+		t.Fatalf("the monitor never tripped: %s", got)
+	}
+	code, body, _ := get(t, traced.ts.URL+"/debug/flight")
+	if code != http.StatusOK {
+		t.Fatalf("GET /debug/flight: %d\n%s", code, body)
+	}
+	var dump flight.Dump
+	if err := json.Unmarshal([]byte(body), &dump); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range dump.Anomalies {
+		if rec.Outcome == flight.OutcomeReselect && rec.AnomalyReason == "reselect" && len(rec.Spans) > 0 {
+			return
+		}
+	}
+	t.Fatalf("no traced reselect anomaly in /debug/flight: %s", body)
 }
 
 // TestFlightNotMountedWithoutRecorder pins that the endpoint only exists

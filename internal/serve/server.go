@@ -34,7 +34,8 @@ type Config struct {
 	// Tracer/Flight, when set, wall-clock-trace every synchronous
 	// selection and record it in the flight recorder, with the HTTP
 	// request ID in the record's fingerprint so /debug/flight entries
-	// grep against access logs.
+	// grep against access logs. A chaos job's re-selections land there
+	// too, as anomalies.
 	Tracer *wtrace.Tracer
 	Flight *flight.Recorder
 	// Log receives request-ID-correlated access and job logs; nil is
@@ -80,7 +81,7 @@ func New(cfg Config) (*Server, error) {
 		cfg.Log = slog.New(discardHandler{})
 	}
 	s := &Server{cfg: cfg, st: cfg.Store, m: cfg.Metrics, log: cfg.Log}
-	s.exec = newExecutor(cfg.Store, cfg.Log, cfg.Metrics, cfg.Workers, cfg.JobDeadline)
+	s.exec = newExecutor(cfg)
 	return s, nil
 }
 

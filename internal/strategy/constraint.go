@@ -1,7 +1,5 @@
 package strategy
 
-import "espresso/internal/cost"
-
 // Constraint prunes the decision tree: an option is admissible when the
 // constraint reports true. §4.2.2 calls this out as the user-facing
 // extension point — "users can manually add constraints to prune the
@@ -35,33 +33,8 @@ func MaxCompOps(n int) Constraint {
 	return func(o Option) bool { return o.CompOps() <= n }
 }
 
-// ForbidDevice rules out options placing any compression work on dev.
-func ForbidDevice(dev cost.Device) Constraint {
-	return func(o Option) bool {
-		for _, d := range o.Devices() {
-			if d == dev {
-				return false
-			}
-		}
-		return true
-	}
-}
-
 // RequireHierarchical rules out flat communication patterns (some
 // deployments reserve the flat path for diagnostics).
 func RequireHierarchical() Constraint {
 	return func(o Option) bool { return o.Hier }
-}
-
-// ForbidRoutine rules out options using a collective routine anywhere
-// (e.g. alltoall on fabrics that implement it poorly).
-func ForbidRoutine(r Routine) Constraint {
-	return func(o Option) bool {
-		for _, s := range o.Steps {
-			if s.Act == Comm && s.Routine == r {
-				return false
-			}
-		}
-		return true
-	}
 }

@@ -28,16 +28,31 @@ func boundCases() []*gen.Case {
 	return cases
 }
 
+// costVariant is cs's cost models with compression free (the §5.1 Upper
+// Bound) or priced, and the GPU slowed by scale (1 = healthy): the four
+// settings that change what a run computes.
+func costVariant(t testing.TB, cs *gen.Case, free bool, scale float64) *cost.Models {
+	t.Helper()
+	cm := cost.MustModels(cs.Cluster, cs.Spec)
+	if scale != 1 {
+		var err error
+		if cm, err = cm.WithDeviceScale(scale, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if free {
+		cm = cm.WithFreeCompression()
+	}
+	return cm
+}
+
 // Property: LowerBound() <= Run().Iter for FP32, every uniform strategy
 // on either device and random per-tensor assignments, with compression
-// free or priced and compute healthy or slowed. The Selector skips a
+// free or priced and the GPU healthy or slowed. The Selector skips a
 // probe on the strength of this inequality alone, so one violation is a
 // wrong strategy somewhere. A failure names the seed that reproduces it.
 func TestLowerBoundNeverExceedsRun(t *testing.T) {
 	for _, cs := range boundCases() {
-		cm := cost.MustModels(cs.Cluster, cs.Spec)
-		e := New(cs.Model, cs.Cluster, cm)
-		e.RecordOps = false
 		n := len(cs.Model.Tensors)
 		opts := strategy.Enumerate(cs.Cluster) // mixed-device options included
 
@@ -57,9 +72,10 @@ func TestLowerBoundNeverExceedsRun(t *testing.T) {
 			strategies = append(strategies, s)
 		}
 
-		for _, zc := range []bool{false, true} {
+		for _, free := range []bool{false, true} {
 			for _, scale := range []float64{1, 2.5} {
-				e.ZeroCompression, e.ComputeScale = zc, scale
+				e := New(cs.Model, cs.Cluster, costVariant(t, cs, free, scale))
+				e.RecordOps = false
 				for k, s := range strategies {
 					if err := e.Prepare(s); err != nil {
 						t.Fatalf("%v: %v", cs, err)
@@ -70,8 +86,8 @@ func TestLowerBoundNeverExceedsRun(t *testing.T) {
 						t.Fatalf("%v: %v", cs, err)
 					}
 					if lb > res.Iter {
-						t.Fatalf("%v (tensors=%d) strategy %d zero-compression=%v scale=%v: LowerBound %v > Iter %v",
-							cs, n, k, zc, scale, lb, res.Iter)
+						t.Fatalf("%v (tensors=%d) strategy %d free-compression=%v gpu-scale=%v: LowerBound %v > Iter %v",
+							cs, n, k, free, scale, lb, res.Iter)
 					}
 				}
 			}
@@ -115,13 +131,12 @@ func assertSumsMatchLoaded(t *testing.T, when string, cs *gen.Case, e *Engine) {
 
 // The sums behind LowerBound are maintained by integer adds and subtracts
 // across SetOption calls, never recomputed on the probe path; they must
-// not drift through any sequence of the calls the Selector makes —
-// including ZeroCompression flipped under loaded chains, as UpperBound
-// does on a live engine.
+// not drift through any sequence of the calls the Selector makes, on
+// priced and on free compression.
 func TestLowerBoundSumsStayExact(t *testing.T) {
 	for seed := uint64(1); seed <= 24; seed++ {
 		cs := gen.Generate(seed, gen.Config{MinTensors: 2, MaxTensors: 24})
-		e := New(cs.Model, cs.Cluster, cost.MustModels(cs.Cluster, cs.Spec))
+		e := New(cs.Model, cs.Cluster, costVariant(t, cs, seed%2 == 0, 1))
 		e.RecordOps = false
 		n := len(cs.Model.Tensors)
 		opts := strategy.Enumerate(cs.Cluster)
@@ -131,9 +146,6 @@ func TestLowerBoundSumsStayExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		for k := 0; k < 1000; k++ {
-			if k == 500 {
-				e.ZeroCompression = true
-			}
 			if err := e.SetOption(r.Intn(n), opts[r.Intn(len(opts))]); err != nil {
 				t.Fatal(err)
 			}

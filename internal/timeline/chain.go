@@ -39,12 +39,13 @@ func (e *Engine) chainInto(idx int, opt strategy.Option, jobs []jobSpec) ([]jobS
 	}
 
 	dense := func() int64 { return int64(perGPU * float64(S)) }
+	free := e.Cost.FreeCompression()
 
 	for si, st := range opt.Steps {
 		switch st.Act {
 		case strategy.Comp:
 			d := dense()
-			if e.ZeroCompression {
+			if free {
 				add(ResGPU, 0, si)
 			} else if st.Dev == cost.CPU {
 				add(ResStaging, e.Cost.StagingTime(d), si)
@@ -56,7 +57,7 @@ func (e *Engine) chainInto(idx int, opt strategy.Option, jobs []jobSpec) ([]jobS
 
 		case strategy.Decomp:
 			d := dense()
-			if e.ZeroCompression {
+			if free {
 				add(ResGPU, 0, si)
 			} else if st.Dev == cost.CPU {
 				add(ResCPU, e.Cost.DecompressTime(cost.CPU, d*int64(lanes), copies), si)

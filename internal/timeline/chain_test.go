@@ -188,8 +188,8 @@ func TestChainCPUStaging(t *testing.T) {
 	}
 }
 
-// ZeroCompression mode erases compression, decompression, and staging.
-func TestChainZeroCompression(t *testing.T) {
+// Free compression erases compression, decompression, and staging.
+func TestChainFreeCompression(t *testing.T) {
 	elems := 1 << 20
 	m := model.Synthetic("hand", []int{elems}, []time.Duration{0}, 0)
 	c := handCluster()
@@ -197,8 +197,7 @@ func TestChainZeroCompression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(m, c, cm)
-	e.ZeroCompression = true
+	e := New(m, c, cm.WithFreeCompression())
 	opt := strategy.Option{Steps: []strategy.Step{
 		{Act: strategy.Comp, Dev: cost.CPU},
 		{Act: strategy.Comm, Routine: strategy.Allgather, Scope: strategy.Flat, Compressed: true},
@@ -210,10 +209,10 @@ func TestChainZeroCompression(t *testing.T) {
 	}
 	for _, j := range jobs {
 		if j.res != ResGPU && j.res != ResInter && j.res != ResIntra {
-			t.Fatalf("zero-compression mode placed work on %v", j.res)
+			t.Fatalf("free compression placed work on %v", j.res)
 		}
 		if j.res == ResGPU && j.dur != 0 {
-			t.Fatalf("zero-compression mode charged %v", j.dur)
+			t.Fatalf("free compression charged %v", j.dur)
 		}
 	}
 }

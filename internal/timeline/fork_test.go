@@ -29,12 +29,12 @@ type loaded struct {
 	empty []bool // tensors whose chain was replaced by no jobs at all
 }
 
-func newLoaded(t testing.TB, cs *gen.Case, r *gen.Rand, zc bool, scale float64) *loaded {
+func newLoaded(t testing.TB, cs *gen.Case, r *gen.Rand, free bool, scale float64) *loaded {
 	t.Helper()
 	l := &loaded{cs: cs, opts: strategy.Enumerate(cs.Cluster)}
 	n := len(cs.Model.Tensors)
-	l.e = New(cs.Model, cs.Cluster, cost.MustModels(cs.Cluster, cs.Spec))
-	l.e.RecordOps, l.e.ZeroCompression, l.e.ComputeScale = false, zc, scale
+	l.e = New(cs.Model, cs.Cluster, costVariant(t, cs, free, scale))
+	l.e.RecordOps = false
 	l.s = strategy.Uniform(n, l.opts[0])
 	for i := range l.s.PerTensor {
 		l.s.PerTensor[i] = l.opts[r.Intn(len(l.opts))]
@@ -65,7 +65,7 @@ func (l *loaded) set(t testing.TB, r *gen.Rand, i int) {
 func (l *loaded) fresh(t testing.TB) *Engine {
 	t.Helper()
 	f := New(l.cs.Model, l.cs.Cluster, l.e.Cost)
-	f.RecordOps, f.ZeroCompression, f.ComputeScale = false, l.e.ZeroCompression, l.e.ComputeScale
+	f.RecordOps = false
 	if err := f.Prepare(l.s); err != nil {
 		t.Fatalf("%v: %v", l.cs, err)
 	}
@@ -83,7 +83,7 @@ func (l *loaded) fresh(t testing.TB) *Engine {
 // this one does. It returns that, and the events each side simulated.
 func (l *loaded) check(t testing.TB, idx int, limit time.Duration) (stopped bool, probed, scratch int) {
 	t.Helper()
-	where := fmt.Sprintf("%v zero-compression=%v scale=%v: Probe(%d, %v)", l.cs, l.e.ZeroCompression, l.e.ComputeScale, idx, limit)
+	where := fmt.Sprintf("%v free-compression=%v gpu-scale=%v: Probe(%d, %v)", l.cs, l.e.Cost.FreeCompression(), l.e.Cost.Profile(cost.GPU).Scale, idx, limit)
 	f := l.fresh(t)
 	want, err := f.Run()
 	if err != nil {
@@ -109,9 +109,9 @@ func (l *loaded) check(t testing.TB, idx int, limit time.Duration) (stopped bool
 	return stopped, probed, scratch
 }
 
-// forkCases are generated configurations with the four flag settings
-// that change what a run computes.
-func forkCases(t *testing.T, visit func(cs *gen.Case, r *gen.Rand, zc bool, scale float64)) {
+// forkCases are generated configurations under the four cost-model
+// variants that change what a run computes (see costVariant).
+func forkCases(t *testing.T, visit func(cs *gen.Case, r *gen.Rand, free bool, scale float64)) {
 	small, large := uint64(120), uint64(12)
 	if testing.Short() {
 		small, large = 30, 3
@@ -125,9 +125,9 @@ func forkCases(t *testing.T, visit func(cs *gen.Case, r *gen.Rand, zc bool, scal
 	}
 	for _, cs := range cases {
 		r := gen.New(cs.Seed ^ 0x666f726b) // "fork"
-		for _, zc := range []bool{false, true} {
+		for _, free := range []bool{false, true} {
 			for _, scale := range []float64{1, 2.5} {
-				visit(cs, r, zc, scale)
+				visit(cs, r, free, scale)
 			}
 		}
 	}
@@ -135,8 +135,8 @@ func forkCases(t *testing.T, visit func(cs *gen.Case, r *gen.Rand, zc bool, scal
 
 func TestForkedRunMatchesScratch(t *testing.T) {
 	var probed, scratch int
-	forkCases(t, func(cs *gen.Case, r *gen.Rand, zc bool, scale float64) {
-		l := newLoaded(t, cs, r, zc, scale)
+	forkCases(t, func(cs *gen.Case, r *gen.Rand, free bool, scale float64) {
+		l := newLoaded(t, cs, r, free, scale)
 		n := len(cs.Model.Tensors)
 		// Every position ascending, so each first run resumes from the
 		// fork below it and takes its own, then in random order, so forks
@@ -169,8 +169,8 @@ func TestForkedRunMatchesScratch(t *testing.T) {
 
 func TestStoppedRunVerdict(t *testing.T) {
 	stops := 0
-	forkCases(t, func(cs *gen.Case, r *gen.Rand, zc bool, scale float64) {
-		l := newLoaded(t, cs, r, zc, scale)
+	forkCases(t, func(cs *gen.Case, r *gen.Rand, free bool, scale float64) {
+		l := newLoaded(t, cs, r, free, scale)
 		n := len(cs.Model.Tensors)
 		for k := 0; k < 6; k++ {
 			idx := r.Intn(n)
@@ -255,15 +255,6 @@ func TestStaleForkIsNotUsed(t *testing.T) {
 		clone := l.e.Clone()
 		clone.RecordOps = false
 		fullRun(clone, "Clone, on the clone,")
-
-		take()
-		l.e.ComputeScale = 1.5
-		fullRun(l.e, "a ComputeScale change")
-
-		take()
-		l.e.ZeroCompression = true
-		fullRun(l.e, "a ZeroCompression change")
-		l.e.ZeroCompression = false
 
 		take()
 		l.e.RecordOps = true

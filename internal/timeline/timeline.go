@@ -148,24 +148,22 @@ func (r *Result) Gantt() string {
 
 // Engine evaluates strategies for one (model, cluster, GC) configuration.
 // It is not safe for concurrent use; create one engine per goroutine.
+// A slowed GPU or free compression (the §5.1 Upper Bound) is a property
+// of the cost models it is built on.
 type Engine struct {
 	M    *model.Model
 	C    *cluster.Cluster
 	Cost *cost.Models
 
-	// ZeroCompression makes every compression, decompression, and
-	// staging operation free — the Upper Bound configuration of §5.1.
-	ZeroCompression bool
-
 	// RecordOps controls whether Evaluate keeps per-op spans. The
 	// decision algorithm's inner loop disables it.
 	RecordOps bool
 
-	// ComputeScale multiplies forward and backward compute durations
-	// (0 or 1 = healthy). The chaos layer sets it to model a slow
-	// device; compression work is scaled separately through the cost
-	// models' device scales.
-	ComputeScale float64
+	// forward, bw and bwTotal are the forward pass, each tensor's backward
+	// kernel and all of them, as the cost models time them; fixed by New
+	// and shared read-only with clones.
+	forward, bwTotal time.Duration
+	bw               []time.Duration
 
 	// commSink, when non-nil, receives the communication steps of the
 	// chain being built (see CommSteps). Transient; never cloned.
@@ -203,8 +201,7 @@ type Engine struct {
 	events int
 
 	// busy and chainSum are LowerBound's inputs, kept by SetOption: the
-	// loaded chains' service time per resource and per tensor. Backward
-	// kernels are added at call time, since ComputeScale may change.
+	// loaded chains' service time per resource and per tensor.
 	busy     [numResources]time.Duration
 	chainSum []time.Duration
 
@@ -223,22 +220,29 @@ type Engine struct {
 // New builds an engine. The cost models must match the cluster.
 func New(m *model.Model, c *cluster.Cluster, cm *cost.Models) *Engine {
 	n := len(m.Tensors)
-	return &Engine{
+	e := &Engine{
 		M: m, C: c, Cost: cm, RecordOps: true,
+		forward: cm.ComputeTime(m.Forward),
+		bw:      make([]time.Duration, n),
 		// Pre-size the chain table from the model once: strategies always
 		// cover exactly the model's tensors, so Prepare never has to grow
 		// the outer array again.
 		chains:   make([][]jobSpec, 0, n),
 		chainSum: make([]time.Duration, n),
 	}
+	for i, t := range m.Tensors {
+		e.bw[i] = cm.ComputeTime(t.Compute)
+		e.bwTotal += e.bw[i]
+	}
+	return e
 }
 
 // Clone returns an independent engine for the same (model, cluster, GC)
-// configuration, carrying the configuration flags and the prepared
-// per-tensor pipelines. Chain arrays are immutable (SetOption only ever
-// repoints a tensor's entry at a memoized chain), so the clone shares
-// them outright and neither engine can observe the other's writes. The
-// model, cluster, and cost models are shared read-only too, so a clone
+// configuration, carrying RecordOps and the prepared per-tensor
+// pipelines. Chain arrays are immutable (SetOption only ever repoints a
+// tensor's entry at a memoized chain), so the clone shares them outright
+// and neither engine can observe the other's writes. The model, cluster,
+// cost models and compute times are shared read-only too, so a clone
 // may Run concurrently with the original and with other clones — the
 // engine-pool pattern the parallel strategy search uses for independent
 // F(S) evaluations. The chain memo itself is not shared: each clone
@@ -246,11 +250,10 @@ func New(m *model.Model, c *cluster.Cluster, cm *cost.Models) *Engine {
 func (e *Engine) Clone() *Engine {
 	out := &Engine{
 		M: e.M, C: e.C, Cost: e.Cost,
-		ZeroCompression: e.ZeroCompression,
-		RecordOps:       e.RecordOps,
-		ComputeScale:    e.ComputeScale,
-		busy:            e.busy,
-		chainSum:        append([]time.Duration(nil), e.chainSum...),
+		RecordOps: e.RecordOps,
+		forward:   e.forward, bwTotal: e.bwTotal, bw: e.bw,
+		busy:     e.busy,
+		chainSum: append([]time.Duration(nil), e.chainSum...),
 	}
 	n := len(e.M.Tensors)
 	if len(e.chains) > 0 {
@@ -327,14 +330,11 @@ func (e *Engine) Prepare(s *strategy.Strategy) error {
 
 // chainMemoKey identifies a derived chain: tensor size plus the option's
 // Steps backing array (options are immutable once built, so the array
-// pointer plus length is the option's identity). ZeroCompression is part
-// of the key because it changes every chain and may be toggled on a
-// live engine (the §5.1 Upper Bound path).
+// pointer plus length is the option's identity).
 type chainMemoKey struct {
 	bytes int64
 	step0 *strategy.Step
 	n     int
-	zc    bool
 }
 
 // SetOption replaces tensor i's pipeline with opt. Prepare must have run.
@@ -381,14 +381,14 @@ func (e *Engine) load(i int, chain []jobSpec) {
 func (e *Engine) LowerBound() time.Duration {
 	var prefix, bound time.Duration
 	for i, sum := range e.chainSum[:len(e.chains)] {
-		prefix += e.scaleCompute(e.M.Tensors[i].Compute)
+		prefix += e.bw[i]
 		bound = max(bound, prefix+sum)
 	}
 	bound = max(bound, e.busy[ResGPU]+prefix)
 	for _, d := range e.busy[ResCPU:] {
 		bound = max(bound, d)
 	}
-	return e.scaleCompute(e.M.Forward) + bound
+	return e.forward + bound
 }
 
 // Chain-arena chunk sizes, in jobSpecs (24 bytes each).
@@ -402,7 +402,7 @@ const (
 // this cache, so the candidate-dedup pass that opens a sweep also warms
 // the memo for the probe loop that follows.
 func (e *Engine) memoChain(i int, opt strategy.Option) ([]jobSpec, error) {
-	key := chainMemoKey{bytes: e.M.Tensors[i].Bytes(), n: len(opt.Steps), zc: e.ZeroCompression}
+	key := chainMemoKey{bytes: e.M.Tensors[i].Bytes(), n: len(opt.Steps)}
 	if key.n > 0 {
 		key.step0 = &opt.Steps[0]
 	}
@@ -492,8 +492,8 @@ const idle = time.Duration(math.MaxInt64)
 // run copies the loop state at that instant and later runs resume from
 // the copy for as long as SetOption touched only tensors >= idx. A run
 // that resumes below idx takes a new fork at idx on its way. SetOption
-// below the fork, Prepare, Clone, a changed ComputeScale or
-// ZeroCompression, and RecordOps fall back to a run from t=0.
+// below the fork, Prepare, Clone and RecordOps fall back to a run from
+// t=0.
 //
 // Stop: whenever resource r starts a job at time now, all the work r has
 // not yet served is still ahead of it, so Iter >= forward + now +
@@ -525,9 +525,6 @@ func (e *Engine) Events() int { return e.events }
 type fork struct {
 	ok  bool
 	idx int
-	// The configuration the state was taken under, beyond the chains.
-	zc    bool
-	scale float64
 
 	jobs      []leanJob // the five ready heaps, back to back
 	n         [numResources]int
@@ -536,11 +533,10 @@ type fork struct {
 	served    [numResources]time.Duration // Result.ResBusy so far
 	// gap is the stop test's left-hand side at each resource's latest
 	// dispatch, for a resumed run to re-apply under its own load.
-	gap     [numResources]time.Duration
-	finish  time.Duration
-	done    int
-	bw      int           // the next backward kernel to start
-	bwTotal time.Duration // all backward kernels, scaled
+	gap    [numResources]time.Duration
+	finish time.Duration
+	done   int
+	bw     int // the next backward kernel to start
 }
 
 // run is the event loop behind Run, RunInto and Probe (which documents
@@ -549,15 +545,15 @@ func (e *Engine) run(res *Result, idx int, limit time.Duration) (stopped bool, e
 	total := len(e.M.Tensors)
 	f := &e.fork
 	canFork := !e.RecordOps && idx >= 0
-	resume := canFork && f.ok && f.idx <= idx && f.zc == e.ZeroCompression && f.scale == e.ComputeScale
+	resume := canFork && f.ok && f.idx <= idx
 
 	res.Makespan = 0
 	res.Iter = 0
 	res.Ops = res.Ops[:0]
 
 	var (
-		finish, bwTotal time.Duration
-		done            int
+		finish time.Duration
+		done   int
 		// Backward kernels are all ready at t=0 and the GPU takes them in
 		// index order, so they are not queued: bw is the next one, and it
 		// competes with the GPU's ready heap on priority — GPU compression
@@ -581,7 +577,7 @@ func (e *Engine) run(res *Result, idx int, limit time.Duration) (stopped bool, e
 		}
 		e.cur, e.busyUntil = f.cur, f.busyUntil
 		res.ResBusy, gap = f.served, f.gap
-		finish, done, bw, bwTotal = f.finish, f.done, f.bw, f.bwTotal
+		finish, done, bw = f.finish, f.done, f.bw
 	} else {
 		res.ResBusy = [numResources]time.Duration{}
 		for r := range e.queues {
@@ -589,9 +585,6 @@ func (e *Engine) run(res *Result, idx int, limit time.Duration) (stopped bool, e
 			e.busyUntil[r] = idle
 			e.cur[r] = leanJob{}
 			gap[r] = math.MinInt64
-		}
-		for i := range e.M.Tensors {
-			bwTotal += e.scaleCompute(e.M.Tensors[i].Compute)
 		}
 		dirty = 1 << ResGPU
 	}
@@ -603,11 +596,10 @@ func (e *Engine) run(res *Result, idx int, limit time.Duration) (stopped bool, e
 
 	// slack[r] is what now - served[r] must reach at a dispatch on r for
 	// forward + now + (load[r] - served[r]) to reach limit.
-	forward := e.scaleCompute(e.M.Forward)
 	slack := e.busy
-	slack[ResGPU] += bwTotal
+	slack[ResGPU] += e.bwTotal
 	for r := range slack {
-		slack[r] = limit - forward - slack[r]
+		slack[r] = limit - e.forward - slack[r]
 		stopped = stopped || gap[r] >= slack[r]
 	}
 
@@ -622,7 +614,7 @@ func (e *Engine) run(res *Result, idx int, limit time.Duration) (stopped bool, e
 			}
 			var j leanJob
 			if q := &e.queues[r]; r == int(ResGPU) && bw < total && (q.n == 0 || jobPrio(bw, 0, -1) < q.buf[0].prio) {
-				j = leanJob{prio: jobPrio(bw, 0, -1), dur: e.scaleCompute(e.M.Tensors[bw].Compute)}
+				j = leanJob{prio: jobPrio(bw, 0, -1), dur: e.bw[bw]}
 				bw++
 			} else if q.n > 0 {
 				j = e.pop(Resource(r))
@@ -653,7 +645,7 @@ func (e *Engine) run(res *Result, idx int, limit time.Duration) (stopped bool, e
 		now = next
 		if e.cur[ResGPU].prio == takeAt && e.busyUntil[ResGPU] == now {
 			takeAt = -1
-			f.ok, f.idx, f.zc, f.scale = true, idx, e.ZeroCompression, e.ComputeScale
+			f.ok, f.idx = true, idx
 			f.jobs = f.jobs[:0]
 			for r := range e.queues {
 				f.n[r] = e.queues[r].n
@@ -661,7 +653,7 @@ func (e *Engine) run(res *Result, idx int, limit time.Duration) (stopped bool, e
 			}
 			f.cur, f.busyUntil = e.cur, e.busyUntil
 			f.served, f.gap = res.ResBusy, gap
-			f.finish, f.done, f.bw, f.bwTotal = finish, done, bw, bwTotal
+			f.finish, f.done, f.bw = finish, done, bw
 		}
 		// Complete everything finishing at this instant before
 		// dispatching, so same-instant arrivals compete on priority.
@@ -705,16 +697,8 @@ func (e *Engine) run(res *Result, idx int, limit time.Duration) (stopped bool, e
 		return false, fmt.Errorf("timeline: %d of %d tensors completed (pipeline deadlock)", done, total)
 	}
 	res.Makespan = finish
-	res.Iter = forward + finish
+	res.Iter = e.forward + finish
 	return false, nil
-}
-
-// scaleCompute applies the slow-device multiplier to a compute duration.
-func (e *Engine) scaleCompute(d time.Duration) time.Duration {
-	if e.ComputeScale <= 0 || e.ComputeScale == 1 {
-		return d
-	}
-	return time.Duration(float64(d) * e.ComputeScale)
 }
 
 // leanJob is an in-flight or queued unit of work. Its identity lives
@@ -800,13 +784,4 @@ func (e *Engine) IterTime(s *strategy.Strategy) (time.Duration, error) {
 		return 0, err
 	}
 	return r.Iter, nil
-}
-
-// MustIterTime panics on error; for callers holding validated strategies.
-func (e *Engine) MustIterTime(s *strategy.Strategy) time.Duration {
-	d, err := e.IterTime(s)
-	if err != nil {
-		panic(err)
-	}
-	return d
 }

@@ -40,6 +40,16 @@ func computeBound() *model.Model {
 
 func dgc() compress.Spec { return compress.Spec{ID: compress.DGC, Ratio: 0.01} }
 
+// iterOf is e.IterTime(s) for strategies the test knows are valid.
+func iterOf(t testing.TB, e *Engine, s *strategy.Strategy) time.Duration {
+	t.Helper()
+	d, err := e.IterTime(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 func fp32Strategy(m *model.Model, c *cluster.Cluster) *strategy.Strategy {
 	return strategy.Uniform(len(m.Tensors), strategy.NoCompression(c))
 }
@@ -83,11 +93,11 @@ func TestCompressingExposedTensorHelps(t *testing.T) {
 	c := cluster.NVLinkTestbed(8)
 	m := commBound()
 	e := newEngine(t, m, c, dgc())
-	base := e.MustIterTime(fp32Strategy(m, c))
+	base := iterOf(t, e, fp32Strategy(m, c))
 
 	s := fp32Strategy(m, c)
 	s.PerTensor[2] = interCompressedOption()
-	got := e.MustIterTime(s)
+	got := iterOf(t, e, s)
 	if got >= base {
 		t.Fatalf("compressing the last tensor did not help: %v >= %v", got, base)
 	}
@@ -124,7 +134,7 @@ func TestOverCompressionHurtsComputeBound(t *testing.T) {
 	c := cluster.PCIeTestbed(8)
 	m := computeBound()
 	e := newEngine(t, m, c, dgc())
-	base := e.MustIterTime(fp32Strategy(m, c))
+	base := iterOf(t, e, fp32Strategy(m, c))
 
 	var compOpt strategy.Option
 	for _, o := range strategy.EnumerateGPU(c) {
@@ -134,22 +144,21 @@ func TestOverCompressionHurtsComputeBound(t *testing.T) {
 		}
 	}
 	s := strategy.Uniform(len(m.Tensors), compOpt)
-	got := e.MustIterTime(s)
+	got := iterOf(t, e, s)
 	if got <= base {
 		t.Fatalf("over-compression should hurt a compute-bound job: %v <= %v", got, base)
 	}
 }
 
-func TestZeroCompressionNeverSlower(t *testing.T) {
+func TestFreeCompressionNeverSlower(t *testing.T) {
 	c := cluster.NVLinkTestbed(8)
 	m := commBound()
 	e := newEngine(t, m, c, dgc())
-	zero := newEngine(t, m, c, dgc())
-	zero.ZeroCompression = true
+	free := New(m, c, e.Cost.WithFreeCompression())
 	for _, o := range strategy.EnumerateGPU(c) {
 		s := strategy.Uniform(len(m.Tensors), o)
-		if zero.MustIterTime(s) > e.MustIterTime(s) {
-			t.Fatalf("zero-compression mode slower for %v", o)
+		if iterOf(t, free, s) > iterOf(t, e, s) {
+			t.Fatalf("free compression slower for %v", o)
 		}
 	}
 }
