@@ -10,12 +10,14 @@ import (
 	"testing"
 	"time"
 
+	"espresso/internal/baselines"
 	"espresso/internal/cluster"
 	"espresso/internal/compress"
 	"espresso/internal/core"
 	"espresso/internal/cost"
 	"espresso/internal/experiments"
 	"espresso/internal/model"
+	"espresso/internal/par"
 	"espresso/internal/strategy"
 	"espresso/internal/timeline"
 )
@@ -63,7 +65,7 @@ func BenchmarkTable5SelectionTimeParallel(b *testing.B) {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.Logf("workers=%d\n%s", experiments.Parallelism(), experiments.RenderTable5(rows))
+			b.Logf("workers=%d\n%s", par.Workers(0), experiments.RenderTable5(rows))
 			for _, r := range rows {
 				b.ReportMetric(r.Selection.Seconds()*1000, r.Model+"_select_ms")
 			}
@@ -281,8 +283,8 @@ func BenchmarkAblationMyopicObjective(b *testing.B) {
 	eng.RecordOps = false
 	var iter time.Duration
 	for i := 0; i < b.N; i++ {
-		sel := core.NewSelector(m, c, cm)
-		s, err := sel.MyopicStrategy()
+		opts := strategy.Filter(strategy.EnumerateGPU(c), strategy.Option.Compressed)
+		_, s, err := baselines.Selective(timeline.New(m, c, cm), strategy.NoCompression(c), opts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"time"
 
+	"espresso/internal/baselines"
 	"espresso/internal/core"
 	"espresso/internal/cost"
 	"espresso/internal/jobspec"
@@ -247,10 +248,10 @@ func Select(job Job) (*Strategy, *Report, error) {
 type BaselineName string
 
 const (
-	FP32           BaselineName = jobspec.FP32
-	HiPress        BaselineName = jobspec.HiPress
-	HiTopKComm     BaselineName = jobspec.HiTopKComm
-	BytePSCompress BaselineName = jobspec.BytePSCompress
+	FP32           = BaselineName(baselines.FP32)
+	HiPress        = BaselineName(baselines.HiPress)
+	HiTopKComm     = BaselineName(baselines.HiTopKComm)
+	BytePSCompress = BaselineName(baselines.BytePSCompress)
 )
 
 // Baseline returns the strategy the named comparison system would run and

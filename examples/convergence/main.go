@@ -10,8 +10,10 @@ import (
 	"log/slog"
 	"os"
 
+	"espresso/internal/baselines"
 	"espresso/internal/cluster"
 	"espresso/internal/compress"
+	"espresso/internal/cost"
 	"espresso/internal/strategy"
 	"espresso/internal/train"
 )
@@ -20,13 +22,7 @@ func main() {
 	c := cluster.NVLinkTestbed(2)
 	c.GPUsPerMachine = 2
 
-	compressedOpt := strategy.Option{Hier: true, Steps: []strategy.Step{
-		{Act: strategy.Comm, Routine: strategy.ReduceScatter, Scope: strategy.Intra},
-		{Act: strategy.Comp},
-		{Act: strategy.Comm, Routine: strategy.Allgather, Scope: strategy.Inter, Compressed: true},
-		{Act: strategy.Comm, Routine: strategy.Allgather, Scope: strategy.Intra, Compressed: true, Second: true},
-		{Act: strategy.Decomp},
-	}}
+	compressedOpt := baselines.InterCompressed(c, cost.GPU)
 
 	ds := train.SyntheticLinear(2000, 10, 0.02, 1)
 	runs := []struct {

@@ -12,11 +12,14 @@
 //
 // Each baseline explores a narrower search space than Espresso: none of
 // them consider tensor interactions, intra-machine compression, or mixed
-// GPU/CPU placement.
+// GPU/CPU placement. The τ rule lives only here (Selective); Espresso's
+// seed family and §5.3's myopic cripple are built from it, so the
+// selector dominates every policy above by construction.
 package baselines
 
 import (
 	"fmt"
+	"time"
 
 	"espresso/internal/cluster"
 	"espresso/internal/cost"
@@ -25,32 +28,48 @@ import (
 	"espresso/internal/timeline"
 )
 
-// System identifies a comparison system.
-type System int
+// System identifies a comparison system by its job and CLI id.
+type System string
 
 const (
-	FP32 System = iota
-	HiPress
-	HiTopKComm
-	BytePSCompress
+	FP32           System = "fp32"
+	HiPress        System = "hipress"
+	HiTopKComm     System = "hitopkcomm"
+	BytePSCompress System = "bytepscompress"
 )
 
 // All lists the comparison systems in the order the figures plot them.
 var All = []System{FP32, BytePSCompress, HiTopKComm, HiPress}
 
-func (s System) String() string {
-	switch s {
-	case FP32:
-		return "FP32"
-	case HiPress:
-		return "HiPress"
-	case HiTopKComm:
-		return "HiTopKComm"
-	case BytePSCompress:
-		return "BytePS-Compress"
-	default:
-		return fmt.Sprintf("System(%d)", int(s))
+// systems is the one definition of each comparison system: its figure
+// label and its policy, the option it communicates with, applied to every
+// tensor or, for a selective system, to the tensors the τ rule picks.
+var systems = map[System]struct {
+	label     string
+	opt       func(*cluster.Cluster) strategy.Option
+	selective bool
+}{
+	FP32:           {"FP32", strategy.NoCompression, false},
+	HiPress:        {"HiPress", interGPU, true},
+	HiTopKComm:     {"HiTopKComm", interGPU, false},
+	BytePSCompress: {"BytePS-Compress", interCPU, false},
+}
+
+func interGPU(c *cluster.Cluster) strategy.Option { return InterCompressed(c, cost.GPU) }
+func interCPU(c *cluster.Cluster) strategy.Option { return InterCompressed(c, cost.CPU) }
+
+// String returns the system's figure label ("" for an unknown system).
+func (s System) String() string { return systems[s].label }
+
+// Parse returns the comparison system a job id ("bytepscompress") or a
+// figure label ("BytePS-Compress") names.
+func Parse(name string) (System, bool) {
+	for _, s := range All {
+		if name == string(s) || name == systems[s].label {
+			return s, true
+		}
 	}
+	return "", false
 }
 
 // InterCompressed is the inter-machine-only compression option shared by
@@ -135,47 +154,66 @@ func AlltoallAlltoall(c *cluster.Cluster, dev cost.Device) strategy.Option {
 
 // Strategy returns the compression strategy sys would run for the job.
 func Strategy(sys System, m *model.Model, c *cluster.Cluster, cm *cost.Models) (*strategy.Strategy, error) {
-	n := len(m.Tensors)
-	switch sys {
-	case FP32:
-		return strategy.Uniform(n, strategy.NoCompression(c)), nil
+	d, ok := systems[sys]
+	if !ok {
+		return nil, fmt.Errorf("baselines: unknown system %q", string(sys))
+	}
+	if !d.selective {
+		return strategy.Uniform(len(m.Tensors), d.opt(c)), nil
+	}
+	selective, _, err := Selective(timeline.New(m, c, cm), strategy.NoCompression(c), []strategy.Option{d.opt(c)})
+	if err != nil {
+		return nil, err
+	}
+	return selective[0], nil
+}
 
-	case HiTopKComm:
-		// Compress every tensor with GPUs.
-		return strategy.Uniform(n, InterCompressed(c, cost.GPU)), nil
-
-	case BytePSCompress:
-		// Compress every tensor with CPUs.
-		return strategy.Uniform(n, InterCompressed(c, cost.CPU)), nil
-
-	case HiPress:
-		// Selective compression on wall-clock times: compress a tensor
-		// when tau_comm(FP32) > tau_comm(compressed) + tau_comp. No
-		// interaction analysis — exactly the myopia of Reason #1.
-		eng := timeline.New(m, c, cm)
-		plain := strategy.NoCompression(c)
-		compOpt := InterCompressed(c, cost.GPU)
-		s := strategy.Uniform(n, plain)
-		for i := 0; i < n; i++ {
-			plainComm, err := eng.CommTime(i, plain)
+// Selective applies the τ rule §3.1 faults HiPress for (compress a tensor
+// when its wall-clock communication saving beats its compression cost) to
+// each option of opts, pricing every (tensor, option) pair once. A
+// tensor's bar is its τ_comm under plain, the uncompressed option; the
+// engine memoizes chains by Steps identity, so a caller passes the plain
+// value its other strategies hold. It returns, in opts order, the
+// strategy compressing with each option exactly the tensors whose
+// τ_comm + τ_comp beats the bar, and the myopic strategy — §5.3's "Myopic
+// compression" — giving every tensor the first option strictly cheaper
+// than the bar and every earlier option. No tensor interaction enters
+// either: exactly the myopia of Reason #1.
+func Selective(eng *timeline.Engine, plain strategy.Option, opts []strategy.Option) ([]*strategy.Strategy, *strategy.Strategy, error) {
+	n := len(eng.M.Tensors)
+	// bar holds each tensor's uncompressed τ_comm, best its cheapest cost
+	// so far. Pricing option by option, not tensor by tensor, keeps the
+	// memoized chains in the order the seeds built from them run in.
+	bar := make([]time.Duration, 2*n)
+	bar, best := bar[:n], bar[n:]
+	for i := range bar {
+		d, err := eng.CommTime(i, plain)
+		if err != nil {
+			return nil, nil, err
+		}
+		bar[i], best[i] = d, d
+	}
+	myopic := strategy.Uniform(n, plain)
+	selective := make([]*strategy.Strategy, len(opts))
+	for j, o := range opts {
+		selective[j] = strategy.Uniform(n, plain)
+		for i := range bar {
+			comm, err := eng.CommTime(i, o)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			comm, err := eng.CommTime(i, compOpt)
+			comp, err := eng.CompTime(i, o)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			comp, err := eng.CompTime(i, compOpt)
-			if err != nil {
-				return nil, err
-			}
-			if comm+comp < plainComm {
-				s.PerTensor[i] = compOpt
+			if d := comm + comp; d < bar[i] {
+				selective[j].PerTensor[i] = o
+				if d < best[i] {
+					best[i] = d
+					myopic.PerTensor[i] = o
+				}
 			}
 		}
-		return s, nil
-
-	default:
-		return nil, fmt.Errorf("baselines: unknown system %d", int(sys))
 	}
+	return selective, myopic, nil
 }

@@ -122,7 +122,7 @@ func TestHiPressIsSelective(t *testing.T) {
 func TestUnknownSystem(t *testing.T) {
 	c := cluster.NVLinkTestbed(8)
 	cm := cost.MustModels(c, dgc())
-	if _, err := Strategy(System(99), model.LSTM(), c, cm); err == nil {
+	if _, err := Strategy(System("nccl"), model.LSTM(), c, cm); err == nil {
 		t.Fatal("unknown system accepted")
 	}
 }
@@ -133,7 +133,7 @@ func TestSystemNames(t *testing.T) {
 	}
 	for sys, want := range names {
 		if sys.String() != want {
-			t.Errorf("%d: %q != %q", int(sys), sys.String(), want)
+			t.Errorf("%s: %q != %q", string(sys), sys.String(), want)
 		}
 	}
 }

@@ -38,7 +38,6 @@ func FuzzParsePlan(f *testing.F) {
 		}
 		p.DeviceScalesAt(time.Millisecond)
 		p.CorruptRate(time.Millisecond)
-		p.HasLinkFaults()
 		p.HasMembershipFaults()
 		// Lowering must never panic either; errors are fine.
 		_, _ = p.Transitions(4, 1e9)

@@ -577,15 +577,3 @@ func (p *Plan) CorruptRate(t time.Duration) float64 {
 	}
 	return rate
 }
-
-// HasLinkFaults reports whether the plan touches the network at all
-// (straggler, flap, or loss).
-func (p *Plan) HasLinkFaults() bool {
-	for i := range p.Faults {
-		switch p.Faults[i].Kind {
-		case Straggler, Flap, Loss:
-			return true
-		}
-	}
-	return false
-}

@@ -34,9 +34,6 @@ func TestParseAcceptsStringsAndNanoseconds(t *testing.T) {
 	if len(p.Faults) != 5 || p.Faults[0].Start.D() != 20*time.Millisecond {
 		t.Fatalf("faults mis-parsed: %+v", p.Faults)
 	}
-	if !p.HasLinkFaults() {
-		t.Fatal("plan has link faults")
-	}
 }
 
 func TestValidateRejections(t *testing.T) {

@@ -122,29 +122,6 @@ func Reduce(data [][]float32, root int) error {
 	return nil
 }
 
-// Broadcast copies root's buffer to every node over a binomial tree.
-func Broadcast(data [][]float32, root int) error {
-	nodes := len(data)
-	if _, err := checkDense(data); err != nil {
-		return err
-	}
-	if root < 0 || root >= nodes {
-		return fmt.Errorf("collective: root %d out of range", root)
-	}
-	node := func(r int) int { return (r + root) % nodes }
-	// Highest power of two below nodes.
-	top := 1
-	for top*2 < nodes {
-		top *= 2
-	}
-	for dist := top; dist >= 1; dist /= 2 {
-		for r := 0; r+dist < nodes; r += 2 * dist {
-			copy(data[node(r+dist)], data[node(r)])
-		}
-	}
-	return nil
-}
-
 // AllgatherPayloads gives every node the concatenation of all nodes'
 // payload lists (ring-ordered deterministically by source rank) — the
 // indivisible scheme for compressed tensors.

@@ -90,26 +90,6 @@ func TestReduceToEveryRoot(t *testing.T) {
 	}
 }
 
-func TestBroadcastFromEveryRoot(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for _, nodes := range []int{2, 3, 5, 8} {
-		for root := 0; root < nodes; root++ {
-			data := randData(rng, nodes, 17)
-			want := append([]float32(nil), data[root]...)
-			if err := Broadcast(data, root); err != nil {
-				t.Fatal(err)
-			}
-			for i := range data {
-				for j := range data[i] {
-					if data[i][j] != want[j] {
-						t.Fatalf("nodes=%d root=%d: node %d differs at %d", nodes, root, i, j)
-					}
-				}
-			}
-		}
-	}
-}
-
 // Property: allreduce result is identical on every node and matches the
 // float64 specification, for arbitrary node counts and data.
 func TestAllreduceProperty(t *testing.T) {
@@ -146,7 +126,7 @@ func TestMismatchedLengthsRejected(t *testing.T) {
 	if err := Reduce(data, 0); err == nil {
 		t.Fatal("mismatched buffers accepted by Reduce")
 	}
-	if err := Broadcast([][]float32{{1}, {2}}, 7); err == nil {
+	if err := Reduce([][]float32{{1}, {2}}, 7); err == nil {
 		t.Fatal("out-of-range root accepted")
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"sort"
 	"time"
 
+	"espresso/internal/baselines"
 	"espresso/internal/cluster"
 	"espresso/internal/cost"
 	"espresso/internal/model"
@@ -612,27 +613,31 @@ func (sel *Selector) Algorithm1(rep *Report) (*strategy.Strategy, error) {
 }
 
 // bestSeed evaluates the candidate starting strategies and returns the
-// fastest. The seed family spans every baseline policy: FP32, every
-// uniform single-option strategy on both devices, and for every option a
-// τ-selective strategy (compress exactly the tensors whose wall-clock
-// saving exceeds the wall-clock cost) — HiPress, HiTopKComm, and
-// BytePS-Compress are all members, so the monotone sweep's result
-// dominates them by construction. A non-nil prior (SelectFrom) is
-// evaluated first: bestOf breaks ties by lowest index, so the incumbent
-// wins unless a seed is strictly better.
+// fastest. The seed family is built from baselines.Selective and spans
+// every baseline policy: FP32, every uniform single-option strategy on
+// both devices, for every option its τ-selective strategy, and the myopic
+// one — HiPress, HiTopKComm, and BytePS-Compress are all members, so the
+// monotone sweep's result dominates them by construction. A non-nil prior
+// (SelectFrom) is evaluated first: bestOf breaks ties by lowest index, so
+// the incumbent wins unless a seed is strictly better.
 func (sel *Selector) bestSeed(prior *strategy.Strategy, rep *Report, parent int) (*strategy.Strategy, error) {
-	n := len(sel.M.Tensors)
-	plain := strategy.NoCompression(sel.C)
-	plainComm := make([]time.Duration, n)
-	for i := 0; i < n; i++ {
-		d, err := sel.eng.CommTime(i, plain)
-		if err != nil {
-			return nil, err
+	opts := make([]strategy.Option, 0, len(sel.candidates)*len(sel.devices))
+	for _, shape := range sel.candidates {
+		if !shape.Compressed() {
+			continue
 		}
-		plainComm[i] = d
+		for _, dev := range sel.devices {
+			opts = append(opts, sel.onDevice(shape, dev))
+		}
+	}
+	plain := strategy.NoCompression(sel.C)
+	selective, myopic, err := baselines.Selective(sel.eng, plain, opts)
+	if err != nil {
+		return nil, err
 	}
 
-	var seeds []*strategy.Strategy
+	n := len(sel.M.Tensors)
+	seeds := make([]*strategy.Strategy, 0, 3+2*len(opts))
 	if prior != nil {
 		seeds = append(seeds, prior.Clone())
 		// Comparing prior with the family's winner judges that winner a
@@ -641,39 +646,10 @@ func (sel *Selector) bestSeed(prior *strategy.Strategy, rep *Report, parent int)
 		rep.unchanged++
 	}
 	seeds = append(seeds, strategy.Uniform(n, plain))
-	myopic := strategy.Uniform(n, plain)
-	myopicCost := append([]time.Duration(nil), plainComm...)
-	for _, shape := range sel.candidates {
-		if !shape.Compressed() {
-			continue
-		}
-		for _, dev := range sel.devices {
-			o := sel.onDevice(shape, dev)
-			uniform := strategy.Uniform(n, o)
-			selective := strategy.Uniform(n, plain)
-			for i := 0; i < n; i++ {
-				comm, err := sel.eng.CommTime(i, o)
-				if err != nil {
-					return nil, err
-				}
-				comp, err := sel.eng.CompTime(i, o)
-				if err != nil {
-					return nil, err
-				}
-				if comm+comp < plainComm[i] {
-					selective.PerTensor[i] = o
-				}
-				if comm+comp < myopicCost[i] {
-					myopicCost[i] = comm + comp
-					myopic.PerTensor[i] = o
-				}
-			}
-			seeds = append(seeds, uniform, selective)
-		}
+	for j, o := range opts {
+		seeds = append(seeds, strategy.Uniform(n, o), selective[j])
 	}
-	seeds = append(seeds, myopic)
-
-	return sel.bestOf(seeds, rep, parent)
+	return sel.bestOf(append(seeds, myopic), rep, parent)
 }
 
 // compressedSearch runs the selection pipeline with the candidate set
@@ -745,41 +721,6 @@ func (sel *Selector) SelectAllCompressed() (*strategy.Strategy, *Report, error) 
 	rep.events = sel.simulated() - startEvents
 	sel.publish(rep)
 	return s, rep, nil
-}
-
-// MyopicStrategy decides each tensor on wall-clock operation times alone
-// — compress with the option minimizing tau_comm + tau_comp when that
-// beats the uncompressed tau_comm — ignoring all tensor interactions.
-// This is the "Myopic compression" crippled mechanism of §5.3.
-func (sel *Selector) MyopicStrategy() (*strategy.Strategy, error) {
-	n := len(sel.M.Tensors)
-	plain := strategy.NoCompression(sel.C)
-	s := strategy.Uniform(n, plain)
-	for i := 0; i < n; i++ {
-		base, err := sel.eng.CommTime(i, plain)
-		if err != nil {
-			return nil, err
-		}
-		bestCost := base
-		for _, cand := range sel.candidates {
-			if !cand.Compressed() {
-				continue
-			}
-			comm, err := sel.eng.CommTime(i, cand)
-			if err != nil {
-				return nil, err
-			}
-			comp, err := sel.eng.CompTime(i, cand)
-			if err != nil {
-				return nil, err
-			}
-			if comm+comp < bestCost {
-				bestCost = comm + comp
-				s.PerTensor[i] = cand
-			}
-		}
-	}
-	return s, nil
 }
 
 // sweepFrom runs Algorithm 1's greedy sweeps starting from seed. All

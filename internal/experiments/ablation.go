@@ -38,14 +38,15 @@ const (
 
 // runMechanism selects a strategy under one crippled mechanism and
 // returns its iteration-time scaling factor.
-func runMechanism(mech fig15Mechanism, m *model.Model, tb Testbed, spec compress.Spec, workers int) (float64, error) {
+func runMechanism(mech fig15Mechanism, m *model.Model, tb Testbed, spec compress.Spec) (float64, error) {
 	c := tb.Make(8)
 	cm, err := cost.NewModels(c, spec)
 	if err != nil {
 		return 0, err
 	}
 	sel := core.NewSelector(m, c, cm)
-	sel.Parallelism = workers
+	eng := timeline.New(m, c, cm)
+	eng.RecordOps = false
 
 	var s *strategy.Strategy
 	switch mech {
@@ -54,7 +55,8 @@ func runMechanism(mech fig15Mechanism, m *model.Model, tb Testbed, spec compress
 	case mechAllCompression:
 		s, _, err = sel.SelectAllCompressed()
 	case mechMyopic:
-		s, err = sel.MyopicStrategy()
+		opts := strategy.Filter(strategy.EnumerateGPU(c), strategy.Option.Compressed)
+		_, s, err = baselines.Selective(eng, strategy.NoCompression(c), opts)
 	case mechGPUOnly:
 		sel.SetDevices([]cost.Device{cost.GPU})
 		s, _, err = sel.Select()
@@ -85,8 +87,6 @@ func runMechanism(mech fig15Mechanism, m *model.Model, tb Testbed, spec compress
 	if err != nil {
 		return 0, err
 	}
-	eng := timeline.New(m, c, cm)
-	eng.RecordOps = false
 	iter, err := eng.IterTime(s)
 	if err != nil {
 		return 0, err
@@ -127,10 +127,9 @@ func Fig15() ([]Fig15Row, error) {
 		}
 	}
 	rows := make([]Fig15Row, len(cells))
-	outer, inner := cellWorkers()
-	err := par.Each(len(cells), outer, func(_, i int) error {
+	err := par.Each(len(cells), parallelism, func(_, i int) error {
 		cl := cells[i]
-		sf, err := runMechanism(cl.mech, m.Clone(), cl.tb, cl.spec, inner)
+		sf, err := runMechanism(cl.mech, m.Clone(), cl.tb, cl.spec)
 		if err != nil {
 			return fmt.Errorf("%s/%s: %w", cl.panel, cl.mech, err)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"espresso/internal/baselines"
 	"espresso/internal/compress"
 	"espresso/internal/cost"
 	"espresso/internal/model"
@@ -33,13 +34,7 @@ type Fig16Row struct {
 func Fig16() ([]Fig16Row, error) {
 	smallCluster := NVLink.Make(2)
 	smallCluster.GPUsPerMachine = 2
-	opt := strategy.Option{Hier: true, Steps: []strategy.Step{
-		{Act: strategy.Comm, Routine: strategy.ReduceScatter, Scope: strategy.Intra},
-		{Act: strategy.Comp},
-		{Act: strategy.Comm, Routine: strategy.Allgather, Scope: strategy.Inter, Compressed: true},
-		{Act: strategy.Comm, Routine: strategy.Allgather, Scope: strategy.Intra, Compressed: true, Second: true},
-		{Act: strategy.Decomp},
-	}}
+	opt := baselines.InterCompressed(smallCluster, cost.GPU)
 
 	speedup := func(m *model.Model, tb Testbed, spec compress.Spec) (float64, error) {
 		cl := tb.Make(8)

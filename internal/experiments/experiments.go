@@ -89,17 +89,8 @@ func iterTimeWorkers(sys System, m *model.Model, c *cluster.Cluster, cm *cost.Mo
 	case SysUpperBound:
 		return core.UpperBound(m, c, cm)
 	default:
-		var bl baselines.System
-		switch sys {
-		case SysFP32:
-			bl = baselines.FP32
-		case SysBytePSCompress:
-			bl = baselines.BytePSCompress
-		case SysHiTopKComm:
-			bl = baselines.HiTopKComm
-		case SysHiPress:
-			bl = baselines.HiPress
-		default:
+		bl, ok := baselines.Parse(string(sys))
+		if !ok {
 			return 0, fmt.Errorf("experiments: unknown system %q", sys)
 		}
 		s, err := baselines.Strategy(bl, m, c, cm)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"espresso/internal/baselines"
 	"espresso/internal/cost"
 	"espresso/internal/model"
 	"espresso/internal/strategy"
@@ -92,13 +93,7 @@ func TimelineDemo() (map[string]string, error) {
 		return nil
 	}
 	plain := strategy.NoCompression(c)
-	comp := strategy.Option{Hier: true, Steps: []strategy.Step{
-		{Act: strategy.Comm, Routine: strategy.ReduceScatter, Scope: strategy.Intra},
-		{Act: strategy.Comp},
-		{Act: strategy.Comm, Routine: strategy.Allgather, Scope: strategy.Inter, Compressed: true},
-		{Act: strategy.Comm, Routine: strategy.Allgather, Scope: strategy.Intra, Compressed: true, Second: true},
-		{Act: strategy.Decomp},
-	}}
+	comp := baselines.InterCompressed(c, cost.GPU)
 
 	s := strategy.Uniform(3, plain)
 	if err := render("(a) baseline", s); err != nil {

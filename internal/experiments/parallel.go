@@ -13,16 +13,3 @@ var parallelism = 1
 // SetParallelism sets the worker budget for the package's sweeps;
 // n < 1 selects GOMAXPROCS. Not safe to call while a sweep is running.
 func SetParallelism(n int) { parallelism = par.Workers(n) }
-
-// Parallelism reports the current worker budget.
-func Parallelism() int { return parallelism }
-
-// cellWorkers splits the budget for a fan-out over independent cells:
-// the outer pool takes the whole budget and each cell runs its
-// selection sequentially.
-func cellWorkers() (outer, inner int) {
-	if parallelism > 1 {
-		return parallelism, 1
-	}
-	return 1, 1
-}

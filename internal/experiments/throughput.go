@@ -51,12 +51,11 @@ func ThroughputSweep(combo Combo, tb Testbed, machineCounts []int, systems []Sys
 	for _, sys := range systems {
 		out.Series[sys] = make([]float64, len(machineCounts))
 	}
-	outer, inner := cellWorkers()
 	cells := len(machineCounts) * len(systems)
-	err := par.Each(cells, outer, func(_, cell int) error {
+	err := par.Each(cells, parallelism, func(_, cell int) error {
 		mi, sys := cell/len(systems), systems[cell%len(systems)]
 		c := clusters[mi]
-		iter, err := iterTimeWorkers(sys, combo.Model, c, models[mi], inner)
+		iter, err := iterTimeWorkers(sys, combo.Model, c, models[mi], 1)
 		if err != nil {
 			return fmt.Errorf("%s on %s (%v): %w", combo, tb.Name, sys, err)
 		}
@@ -153,21 +152,20 @@ func Fig14(tb Testbed) ([]Fig14Point, error) {
 func Fig14For(tb Testbed, combos []Combo) ([]Fig14Point, error) {
 	systems := []System{SysBytePSCompress, SysHiTopKComm, SysHiPress, SysEspresso}
 	pts := make([]Fig14Point, len(combos)*len(systems))
-	outer, inner := cellWorkers()
-	err := par.Each(len(combos), outer, func(_, ci int) error {
+	err := par.Each(len(combos), parallelism, func(_, ci int) error {
 		combo := combos[ci]
 		c := tb.Make(8)
 		cm, err := cost.NewModels(c, combo.Spec)
 		if err != nil {
 			return err
 		}
-		ub, err := iterTimeWorkers(SysUpperBound, combo.Model, c, cm, inner)
+		ub, err := iterTimeWorkers(SysUpperBound, combo.Model, c, cm, 1)
 		if err != nil {
 			return err
 		}
 		ubTh := core.Throughput(combo.Model, c, ub)
 		for si, sys := range systems {
-			iter, err := iterTimeWorkers(sys, combo.Model, c, cm, inner)
+			iter, err := iterTimeWorkers(sys, combo.Model, c, cm, 1)
 			if err != nil {
 				return err
 			}

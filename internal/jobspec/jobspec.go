@@ -217,20 +217,8 @@ func (cs ClusterSpec) resolve() (*cluster.Cluster, error) {
 	return c, nil
 }
 
-// The systems Strategy knows: Espresso's own selection and the paper's
-// comparison systems.
-const (
-	Espresso       = "espresso"
-	FP32           = "fp32"
-	HiPress        = "hipress"
-	HiTopKComm     = "hitopkcomm"
-	BytePSCompress = "bytepscompress"
-)
-
-var comparisonSystems = map[string]baselines.System{
-	FP32: baselines.FP32, HiPress: baselines.HiPress,
-	HiTopKComm: baselines.HiTopKComm, BytePSCompress: baselines.BytePSCompress,
-}
+// Espresso names the decision algorithm; other systems go by baselines.System.
+const Espresso = "espresso"
 
 // Strategy returns the strategy the named system runs for the job.
 // Espresso runs the decision algorithm, configured from the job's
@@ -251,7 +239,7 @@ func (r *Resolved) Strategy(system string, metrics *obs.Metrics) (*strategy.Stra
 		}
 		return sel.Select()
 	}
-	sys, ok := comparisonSystems[system]
+	sys, ok := baselines.Parse(system)
 	if !ok {
 		return nil, nil, fmt.Errorf("espresso: unknown system %q", system)
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"espresso"
+	"espresso/internal/baselines"
 	"espresso/internal/cluster"
 	"espresso/internal/cost"
 	"espresso/internal/jobspec"
@@ -233,8 +234,8 @@ func TestConstraintsReachTheSelector(t *testing.T) {
 			}
 		}
 	}
-	for _, sys := range []string{jobspec.FP32, jobspec.HiPress, jobspec.HiTopKComm, jobspec.BytePSCompress} {
-		s, rep, err := r.Strategy(sys, nil)
+	for _, sys := range baselines.All {
+		s, rep, err := r.Strategy(string(sys), nil)
 		if err != nil || s == nil || rep != nil {
 			t.Errorf("%s: strategy %v, report %v, err %v; want a strategy and no report", sys, s, rep, err)
 		}

@@ -20,6 +20,8 @@
 //	               full), and a stopped run really is at or above its limit
 //	select-fp32    Select is never slower than uncompressed FP32
 //	select-allcomp Select is never materially slower than SelectAllCompressed
+//	select-baselines Select is never slower than any comparison system's
+//	               policy (FP32, HiPress, HiTopKComm, BytePS-Compress)
 //	beta-scaling   all bandwidths ×k ⇒ every comm term ÷k (α = 0 cases)
 //	add-tensor     appending a tensor never decreases iteration time
 //	greedy-brute   greedy selection within the bound of brute force on
@@ -33,6 +35,7 @@ import (
 	"sort"
 	"time"
 
+	"espresso/internal/baselines"
 	"espresso/internal/cluster"
 	"espresso/internal/core"
 	"espresso/internal/cost"
@@ -277,6 +280,22 @@ func (c *caseRun) fullCase() error {
 	if repSel.Iter > repAll.Iter+absTol {
 		c.fail("select-allcomp", "Select %v exceeds SelectAllCompressed %v by %.2f%% on %v",
 			repSel.Iter, repAll.Iter, 100*float64(repSel.Iter-repAll.Iter)/float64(repAll.Iter), cs)
+	}
+	// Every comparison system's policy is in Select's seed family, so it
+	// dominates them all as structurally as it does FP32.
+	for _, sys := range baselines.All {
+		bs, err := baselines.Strategy(sys, cs.Model, cs.Cluster, cm)
+		if err != nil {
+			return err
+		}
+		bIter, err := eng.IterTime(bs)
+		if err != nil {
+			return err
+		}
+		c.count("select-baselines")
+		if repSel.Iter > bIter+absTol {
+			c.fail("select-baselines", "Select %v slower than %v %v on %v", repSel.Iter, sys, bIter, cs)
+		}
 	}
 
 	// Bracket: the engine is work-conserving, so its makespan can be

@@ -216,7 +216,7 @@ func (e *executor) runChaos(ctx context.Context, req client.JobRequest) (string,
 	if err != nil {
 		return "", fmt.Errorf("building runner: %w", err)
 	}
-	runner.Deterministic = true
+	runner.Deterministic, runner.Parallelism = true, req.Parallelism
 	runner.Tracer, runner.Flight = e.tracer, e.flight
 
 	iters := req.Iters

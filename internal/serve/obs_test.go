@@ -254,9 +254,11 @@ func TestFlightEndpoints(t *testing.T) {
 // A chaos job whose monitor trips re-selects mid-run. The re-selection
 // lands in the server's flight recorder as an anomaly, as it does for
 // espresso-sim and the chaos runner, and watching it changes no byte of
-// the persisted report.
+// the persisted report. The job's parallelism reaches the re-selection
+// too: its span tree holds the per-worker spans only a fan-out over more
+// than one engine records.
 func TestChaosReselectReachesFlight(t *testing.T) {
-	job := client.JobRequest{Kind: "chaos", Seed: 1, Iters: 4, Plan: json.RawMessage(
+	job := client.JobRequest{Kind: "chaos", Seed: 1, Iters: 4, Parallelism: 2, Plan: json.RawMessage(
 		`{"seed":7,"monitor":{"factor":1.2,"consecutive":2},"faults":[{"kind":"straggler","src":-1,"scale":0.1,"start":"0s"}]}`)}
 	report := func(e *testServer) []byte {
 		t.Helper()
@@ -292,9 +294,15 @@ func TestChaosReselectReachesFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, rec := range dump.Anomalies {
-		if rec.Outcome == flight.OutcomeReselect && rec.AnomalyReason == "reselect" && len(rec.Spans) > 0 {
-			return
+		if rec.Outcome != flight.OutcomeReselect || rec.AnomalyReason != "reselect" {
+			continue
 		}
+		for _, sp := range rec.Spans {
+			if sp.Name == "seed-worker" || sp.Name == "probe-worker" {
+				return
+			}
+		}
+		t.Fatalf("reselect anomaly ran on one engine despite parallelism 2: %+v", rec.Spans)
 	}
 	t.Fatalf("no traced reselect anomaly in /debug/flight: %s", body)
 }

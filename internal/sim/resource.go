@@ -90,18 +90,3 @@ func (f *FIFO) Reset() {
 	f.busy = 0
 	f.spans = f.spans[:0]
 }
-
-// Gaps returns the idle intervals between consecutive reservations,
-// excluding the leading idle period before the first job. These are the
-// "bubbles" of Espresso's Property #1 when applied to a communication
-// resource.
-func (f *FIFO) Gaps() []Span {
-	var gaps []Span
-	for i := 1; i < len(f.spans); i++ {
-		prev, cur := f.spans[i-1], f.spans[i]
-		if cur.Start > prev.End {
-			gaps = append(gaps, Span{Label: "gap", Start: prev.End, End: cur.Start})
-		}
-	}
-	return gaps
-}

@@ -100,19 +100,6 @@ func TestFIFOSerializesJobs(t *testing.T) {
 	}
 }
 
-func TestFIFOIdleGap(t *testing.T) {
-	f := NewFIFO(nil, "net")
-	f.Reserve("a", 0, 2*time.Millisecond)
-	f.Reserve("b", 8*time.Millisecond, time.Millisecond)
-	gaps := f.Gaps()
-	if len(gaps) != 1 {
-		t.Fatalf("gaps = %v, want one", gaps)
-	}
-	if gaps[0].Start != 2*time.Millisecond || gaps[0].End != 8*time.Millisecond {
-		t.Fatalf("gap = %+v", gaps[0])
-	}
-}
-
 func TestFIFOSubmitFiresCallback(t *testing.T) {
 	e := NewEngine()
 	f := NewFIFO(e, "nic")

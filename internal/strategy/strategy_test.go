@@ -36,7 +36,7 @@ func TestEnumerationIsDeduplicated(t *testing.T) {
 // concrete count are pinned to catch accidental enumeration changes.
 func TestSearchSpaceScale(t *testing.T) {
 	c := nvlink8()
-	shapes := EnumerateShapes(c)
+	shapes := EnumerateGPU(c)
 	full := Enumerate(c)
 	if len(shapes) < 60 || len(shapes) > 150 {
 		t.Errorf("shape count = %d, want tens of shapes", len(shapes))

@@ -56,7 +56,7 @@ func cat(prefix []Step, more ...Step) []Step {
 	return append(out, more...)
 }
 
-// shapeCache memoizes EnumerateShapes: the shape set depends only on
+// shapeCache memoizes EnumerateGPU: the shape set depends only on
 // whether the cluster has both communication domains, so there are
 // exactly two possible results. NewSelector enumerates per selection —
 // on the serving path that is once per request — and the walk's
@@ -66,12 +66,14 @@ var shapeCache struct {
 	hier, flat []Option
 }
 
-// EnumerateShapes returns every distinct compression option shape for the
-// cluster, with all compression devices left at the zero value (GPU).
-// Dimension 2 (device choice) is expanded separately by Enumerate.
-// Options are immutable by convention (step slices are shared); callers
-// get a fresh outer slice over shared step storage.
-func EnumerateShapes(c *cluster.Cluster) []Option {
+// EnumerateGPU returns the GPU-only option set C_gpu that Algorithm 1
+// searches before CPU offloading: every distinct option shape for the
+// cluster (the uncompressed ones included), with all compression devices
+// left at the zero value (GPU). Dimension 2 (device choice) is expanded
+// separately by Enumerate. Options are immutable by convention (step
+// slices are shared); callers get a fresh outer slice over shared step
+// storage.
+func EnumerateGPU(c *cluster.Cluster) []Option {
 	hier := c.Machines > 1 && c.GPUsPerMachine > 1
 	shapeCache.Lock()
 	cached := shapeCache.flat
@@ -207,12 +209,12 @@ func enumerateHier() [][]Step {
 	return out
 }
 
-// Enumerate expands EnumerateShapes across Dimension 2: every Comp and
+// Enumerate expands EnumerateGPU across Dimension 2: every Comp and
 // Decomp step independently runs on GPU or CPU. This is the full option
 // set C whose size §4.4.1 reports.
 func Enumerate(c *cluster.Cluster) []Option {
 	var out []Option
-	for _, shape := range EnumerateShapes(c) {
+	for _, shape := range EnumerateGPU(c) {
 		idxs := compIdxs(shape)
 		if len(idxs) == 0 {
 			out = append(out, shape)
@@ -229,13 +231,6 @@ func Enumerate(c *cluster.Cluster) []Option {
 		}
 	}
 	return out
-}
-
-// EnumerateGPU returns the GPU-only option set C_gpu that Algorithm 1
-// searches before CPU offloading: every shape with all compression
-// operations on the GPU (plus the uncompressed shapes).
-func EnumerateGPU(c *cluster.Cluster) []Option {
-	return EnumerateShapes(c) // shapes already carry GPU devices
 }
 
 func compIdxs(o Option) []int {
