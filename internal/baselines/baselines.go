@@ -187,7 +187,7 @@ func Selective(eng *timeline.Engine, plain strategy.Option, opts []strategy.Opti
 	bar := make([]time.Duration, 2*n)
 	bar, best := bar[:n], bar[n:]
 	for i := range bar {
-		d, err := eng.CommTime(i, plain)
+		d, _, err := eng.Times(i, plain)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -198,11 +198,7 @@ func Selective(eng *timeline.Engine, plain strategy.Option, opts []strategy.Opti
 	for j, o := range opts {
 		selective[j] = strategy.Uniform(n, plain)
 		for i := range bar {
-			comm, err := eng.CommTime(i, o)
-			if err != nil {
-				return nil, nil, err
-			}
-			comp, err := eng.CompTime(i, o)
+			comm, comp, err := eng.Times(i, o)
 			if err != nil {
 				return nil, nil, err
 			}

@@ -322,15 +322,19 @@ func (sel *Selector) selectFrom(prior *strategy.Strategy) (*strategy.Strategy, *
 	// flight recorder's per-phase breakdown relies on.
 	spSeed := tr.Begin(wtrace.NoParent, "seed")
 	seedEvals := rep.Evals
-	seed, err := sel.bestSeed(prior, rep, spSeed)
+	seed, altFrom, err := sel.seedPass(prior, true, rep, spSeed)
 	if err != nil {
 		return nil, nil, err
+	}
+	if altFrom != nil {
+		// sweepFrom rewrites its seed in place, and both can be one seed.
+		altFrom = altFrom.Clone()
 	}
 	tr.EndEvals(spSeed, int64(rep.Evals-seedEvals))
 
 	spSweep := tr.Begin(wtrace.NoParent, "sweep")
 	sweepEvals := rep.Evals
-	s, err := sel.sweepFrom(seed, rep, spSweep)
+	s, err := sel.sweepFrom(seed, false, rep, spSweep)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -341,7 +345,7 @@ func (sel *Selector) selectFrom(prior *strategy.Strategy) (*strategy.Strategy, *
 	spOff := tr.Begin(wtrace.NoParent, "offload")
 	offEvals := rep.Evals
 	if sel.allowsCPU() {
-		s, err = sel.offloadCPU(s, rep, spOff)
+		s, err = sel.offloadCPU(s, unbounded, rep, spOff)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -352,31 +356,33 @@ func (sel *Selector) selectFrom(prior *strategy.Strategy) (*strategy.Strategy, *
 	// The greedy sweep is monotone but path-dependent: seeded
 	// differently, it can converge to a different local optimum. Run the
 	// compressed-candidates trajectory as well — deterministically the
-	// same search SelectAllCompressed performs — and keep the better
-	// endpoint, so Select is never worse than the "All compression"
-	// cripple (§5.3) by construction, not just empirically. The extra
-	// sweep's statistics stay out of the report except for its
-	// evaluation count; Offloaded is recomputed from the winner below.
-	// rep.Ruled and the explain pass's ruled markings describe the
-	// primary trajectory, so its bubble set is restored afterwards.
+	// same search SelectAllCompressed performs, from the seed the seed
+	// pass already picked for it — and keep the better endpoint, so
+	// Select is never worse than the "All compression" cripple (§5.3) by
+	// construction, not just empirically. It wins only below F(s), so its
+	// offload search is held to that. The extra sweep's statistics stay
+	// out of the report except for its evaluation count; Offloaded is
+	// recomputed from the winner below. rep.Ruled and the explain pass's
+	// ruled markings describe the primary trajectory, so its bubble set
+	// is restored afterwards.
 	spAlt := tr.Begin(wtrace.NoParent, "alt")
 	altEvals := rep.Evals
-	primaryRemoved := sel.lastRemoved
-	altRep := &Report{}
-	alt, err := sel.compressedSearch(altRep, spAlt)
-	if err != nil {
-		return nil, nil, err
-	}
-	sel.lastRemoved = primaryRemoved
-	rep.Evals += altRep.Evals
-	rep.cut += altRep.cut
-	rep.bounded += altRep.bounded
-	rep.unchanged += altRep.unchanged
-	if alt != nil {
+	if len(sel.compressedOptions()) > 0 {
 		sIter, err := sel.iter(s, rep)
 		if err != nil {
 			return nil, nil, err
 		}
+		primaryRemoved := sel.lastRemoved
+		altRep := &Report{}
+		alt, err := sel.compressedSearch(altFrom, sIter, altRep, spAlt)
+		if err != nil {
+			return nil, nil, err
+		}
+		sel.lastRemoved = primaryRemoved
+		rep.Evals += altRep.Evals
+		rep.cut += altRep.cut
+		rep.bounded += altRep.bounded
+		rep.unchanged += altRep.unchanged
 		altIter, err := sel.iter(alt, rep)
 		if err != nil {
 			return nil, nil, err
@@ -609,18 +615,84 @@ func (sel *Selector) Algorithm1(rep *Report) (*strategy.Strategy, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sel.sweepFrom(seed, rep, wtrace.NoParent)
+	return sel.sweepFrom(seed, false, rep, wtrace.NoParent)
 }
 
 // bestSeed evaluates the candidate starting strategies and returns the
+// fastest (see seedPass).
+func (sel *Selector) bestSeed(prior *strategy.Strategy, rep *Report, parent int) (*strategy.Strategy, error) {
+	seed, _, err := sel.seedPass(prior, false, rep, parent)
+	return seed, err
+}
+
+// seedPass evaluates the candidate starting strategies and returns the
 // fastest. The seed family is built from baselines.Selective and spans
 // every baseline policy: FP32, every uniform single-option strategy on
 // both devices, for every option its τ-selective strategy, and the myopic
 // one — HiPress, HiTopKComm, and BytePS-Compress are all members, so the
 // monotone sweep's result dominates them by construction. A non-nil prior
-// (SelectFrom) is evaluated first: bestOf breaks ties by lowest index, so
-// the incumbent wins unless a seed is strictly better.
-func (sel *Selector) bestSeed(prior *strategy.Strategy, rep *Report, parent int) (*strategy.Strategy, error) {
+// (SelectFrom) is evaluated first: ties go to the lowest index, so the
+// incumbent wins unless a seed is strictly better. A selective or myopic
+// seed that gives every tensor one option equals the uniform seed of that
+// option, which precedes it, and is not judged.
+//
+// With withAlt it also returns the compressed trajectory's seed: the
+// lowest-index minimal uniform compressed seed, the one compressedSearch
+// would pick from the same strategies in the same order. The runAll
+// reference judges every seed and leaves that family to compressedSearch.
+func (sel *Selector) seedPass(prior *strategy.Strategy, withAlt bool, rep *Report, parent int) (seed, alt *strategy.Strategy, err error) {
+	opts := sel.compressedOptions()
+	plain := strategy.NoCompression(sel.C)
+	selective, myopic, err := baselines.Selective(sel.eng, plain, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+
+	n := len(sel.M.Tensors)
+	seeds := make([]*strategy.Strategy, 0, 3+2*len(opts))
+	roles := make([]seedRole, 0, cap(seeds))
+	add := func(s *strategy.Strategy, r seedRole) {
+		seeds, roles = append(seeds, s), append(roles, r)
+	}
+	derived := func(s *strategy.Strategy) seedRole {
+		for _, o := range s.PerTensor {
+			if !o.Equal(s.PerTensor[0]) {
+				return mainSeed
+			}
+		}
+		return dupSeed
+	}
+	if prior != nil {
+		add(prior.Clone(), mainSeed)
+		// Comparing prior with the family's winner judges that winner a
+		// second time; its F(S) is known.
+		rep.Evals++
+		rep.unchanged++
+	}
+	uniform := mainSeed
+	if withAlt {
+		uniform = altSeed
+	}
+	add(strategy.Uniform(n, plain), mainSeed)
+	for j, o := range opts {
+		add(strategy.Uniform(n, o), uniform)
+		add(selective[j], derived(selective[j]))
+	}
+	add(myopic, derived(myopic))
+	if sel.runAll {
+		roles = nil
+	}
+	best, altBest, err := sel.judgeSeeds(seeds, roles, rep, parent)
+	if err != nil || altBest < 0 {
+		return seeds[best], nil, err
+	}
+	return seeds[best], seeds[altBest], nil
+}
+
+// compressedOptions lists every compressed candidate option on every
+// device, in candidate then device order: the uniform strategies of these
+// are the compressed trajectory's seeds.
+func (sel *Selector) compressedOptions() []strategy.Option {
 	opts := make([]strategy.Option, 0, len(sel.candidates)*len(sel.devices))
 	for _, shape := range sel.candidates {
 		if !shape.Compressed() {
@@ -630,66 +702,42 @@ func (sel *Selector) bestSeed(prior *strategy.Strategy, rep *Report, parent int)
 			opts = append(opts, sel.onDevice(shape, dev))
 		}
 	}
-	plain := strategy.NoCompression(sel.C)
-	selective, myopic, err := baselines.Selective(sel.eng, plain, opts)
-	if err != nil {
-		return nil, err
-	}
-
-	n := len(sel.M.Tensors)
-	seeds := make([]*strategy.Strategy, 0, 3+2*len(opts))
-	if prior != nil {
-		seeds = append(seeds, prior.Clone())
-		// Comparing prior with the family's winner judges that winner a
-		// second time; its F(S) is known.
-		rep.Evals++
-		rep.unchanged++
-	}
-	seeds = append(seeds, strategy.Uniform(n, plain))
-	for j, o := range opts {
-		seeds = append(seeds, strategy.Uniform(n, o), selective[j])
-	}
-	return sel.bestOf(append(seeds, myopic), rep, parent)
+	return opts
 }
 
 // compressedSearch runs the selection pipeline with the candidate set
 // restricted to compressed options: sweep from the best uniform
-// compressed seed, then CPU offloading. It returns a nil strategy (and
-// no error) when the candidate set has no compressed option. Both
-// SelectAllCompressed and Select's second trajectory run exactly this
-// search, which is what makes Select structurally never worse than the
-// "All compression" cripple.
-func (sel *Selector) compressedSearch(rep *Report, parent int) (*strategy.Strategy, error) {
-	var compressed []strategy.Option
-	for _, o := range sel.candidates {
-		if o.Compressed() {
-			compressed = append(compressed, o)
-		}
-	}
-	if len(compressed) == 0 {
+// compressed seed, then CPU offloading, held to find only what beats
+// ceiling (see offloadCPU). It returns a nil strategy (and no error) when
+// the candidate set has no compressed option. Both SelectAllCompressed
+// and Select's second trajectory run exactly this search, which is what
+// makes Select structurally never worse than the "All compression"
+// cripple. A non-nil seed is that best uniform seed, already judged by
+// seedPass: its family is counted as unchanged.
+func (sel *Selector) compressedSearch(seed *strategy.Strategy, ceiling time.Duration, rep *Report, parent int) (*strategy.Strategy, error) {
+	opts := sel.compressedOptions()
+	if len(opts) == 0 {
 		return nil, nil
 	}
-	saved := sel.candidates
-	sel.SetCandidates(compressed)
-	defer sel.SetCandidates(saved)
-
-	n := len(sel.M.Tensors)
-	var seeds []*strategy.Strategy
-	for _, o := range compressed {
-		for _, dev := range sel.devices {
-			seeds = append(seeds, strategy.Uniform(n, sel.onDevice(o, dev)))
+	if seed != nil {
+		rep.Evals += len(opts)
+		rep.unchanged += len(opts)
+	} else {
+		seeds := make([]*strategy.Strategy, len(opts))
+		for i, o := range opts {
+			seeds[i] = strategy.Uniform(len(sel.M.Tensors), o)
+		}
+		var err error
+		if seed, err = sel.bestOf(seeds, rep, parent); err != nil {
+			return nil, err
 		}
 	}
-	seed, err := sel.bestOf(seeds, rep, parent)
-	if err != nil {
-		return nil, err
-	}
-	s, err := sel.sweepFrom(seed, rep, parent)
+	s, err := sel.sweepFrom(seed, true, rep, parent)
 	if err != nil {
 		return nil, err
 	}
 	if sel.allowsCPU() {
-		if s, err = sel.offloadCPU(s, rep, parent); err != nil {
+		if s, err = sel.offloadCPU(s, ceiling, rep, parent); err != nil {
 			return nil, err
 		}
 	}
@@ -702,7 +750,7 @@ func (sel *Selector) compressedSearch(rep *Report, parent int) (*strategy.Strate
 func (sel *Selector) SelectAllCompressed() (*strategy.Strategy, *Report, error) {
 	startEvents := sel.simulated()
 	rep := &Report{}
-	s, err := sel.compressedSearch(rep, wtrace.NoParent)
+	s, err := sel.compressedSearch(nil, unbounded, rep, wtrace.NoParent)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -730,7 +778,12 @@ func (sel *Selector) SelectAllCompressed() (*strategy.Strategy, *Report, error) 
 // the lowest-index candidate achieving the minimal F(S) — exactly the
 // candidate the sequential first-strict-improvement scan keeps, so the
 // result is bit-identical to the sequential sweep.
-func (sel *Selector) sweepFrom(s *strategy.Strategy, rep *Report, parent int) (*strategy.Strategy, error) {
+//
+// compressedOnly restricts the probes to compressed candidates. No
+// compressed chain has the signature of an uncompressed one (only
+// compression puts work on the GPU, host or staging link), so filtering
+// candidatesFor's dedup is the dedup of the compressed subset.
+func (sel *Selector) sweepFrom(s *strategy.Strategy, compressedOnly bool, rep *Report, parent int) (*strategy.Strategy, error) {
 	tr := sel.Trace
 	removed := make([]bool, len(sel.M.Tensors))
 	if err := sel.removeBeforeBubbles(s, removed, rep); err != nil {
@@ -781,7 +834,7 @@ func (sel *Selector) sweepFrom(s *strategy.Strategy, rep *Report, parent int) (*
 			}
 			probes = probes[:0]
 			for _, cand := range cands {
-				if !cand.Equal(cur) {
+				if !cand.Equal(cur) && (!compressedOnly || cand.Compressed()) {
 					probes = append(probes, cand)
 				}
 			}

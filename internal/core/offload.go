@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"time"
 
 	"espresso/internal/cost"
 	"espresso/internal/obs/wtrace"
@@ -58,13 +59,19 @@ func (sel *Selector) offloadGroups(s *strategy.Strategy) [][]int {
 // from an all-GPU baseline per Lemma 1, and the result is kept only when
 // it beats the input.
 func (sel *Selector) OffloadCPU(s *strategy.Strategy, rep *Report) (*strategy.Strategy, error) {
-	return sel.offloadCPU(s, rep, wtrace.NoParent)
+	return sel.offloadCPU(s, unbounded, rep, wtrace.NoParent)
 }
 
 // offloadCPU is OffloadCPU with the enclosing trace span: the chosen
 // search (exact or greedy) records a child span carrying its evaluation
 // count, so a slow offload phase attributes directly to its odometer.
-func (sel *Selector) offloadCPU(s *strategy.Strategy, rep *Report, parent int) (*strategy.Strategy, error) {
+//
+// The exact search starts from an incumbent instead of from nothing: the
+// result is kept only at or below F(s), and a caller that keeps it only
+// below ceiling says so, so the search needs to find only a state below
+// min(F(s)+1, ceiling). Whenever one exists the argmin is the same; when
+// none does, either search returns a strategy its caller rejects.
+func (sel *Selector) offloadCPU(s *strategy.Strategy, ceiling time.Duration, rep *Report, parent int) (*strategy.Strategy, error) {
 	if rep == nil {
 		rep = &Report{}
 	}
@@ -103,7 +110,11 @@ func (sel *Selector) offloadCPU(s *strategy.Strategy, rep *Report, parent int) (
 	} else {
 		sp := tr.Begin(parent, "offload-exact")
 		evals := rep.Evals
-		searched, err = sel.exactOffload(s, groups, rep)
+		bar := min(origIter+1, ceiling)
+		if sel.runAll {
+			bar = unbounded
+		}
+		searched, err = sel.exactOffload(s, groups, bar, rep)
 		tr.EndEvals(sp, int64(rep.Evals-evals))
 	}
 	if err != nil {
@@ -143,8 +154,9 @@ func (sel *Selector) normalizeGPU(out *strategy.Strategy, groups [][]int) error 
 }
 
 // exactOffload traverses every U in the product space with an odometer,
-// toggling one tensor's device per step.
-func (sel *Selector) exactOffload(s *strategy.Strategy, groups [][]int, rep *Report) (*strategy.Strategy, error) {
+// toggling one tensor's device per step, and returns the first U in
+// odometer order with the minimal F(S) below bar — all on GPU if none is.
+func (sel *Selector) exactOffload(s *strategy.Strategy, groups [][]int, bar time.Duration, rep *Report) (*strategy.Strategy, error) {
 	out := s.Clone()
 	if err := sel.eng.Prepare(out); err != nil {
 		return nil, err
@@ -159,7 +171,7 @@ func (sel *Selector) exactOffload(s *strategy.Strategy, groups [][]int, rep *Rep
 
 	u := make([]int, len(groups))
 	bestU := make([]int, len(groups))
-	bestIter := unbounded
+	bestIter := bar
 	// The odometer turns group 0 fastest; nothing below its lowest tensor
 	// changes until a slower group steps.
 	forkAt := slices.Min(groups[0])

@@ -85,45 +85,91 @@ func (sel *Selector) eachTraced(parent int, name string, n int, engines int, tas
 }
 
 // bestOf judges candidate strategies across the worker pool and returns
-// the lowest-index one achieving the minimal F(S). seeds[0] runs first,
-// alone, and its F(S) is the incumbent every other seed's lower bound is
-// held against: fixed before the fan-out, so what is dismissed does not
-// depend on worker interleaving, and a tie goes to index 0 regardless.
+// the lowest-index one achieving the minimal F(S) (see judgeSeeds).
 func (sel *Selector) bestOf(seeds []*strategy.Strategy, rep *Report, parent int) (*strategy.Strategy, error) {
+	best, _, err := sel.judgeSeeds(seeds, nil, rep, parent)
+	if err != nil {
+		return nil, err
+	}
+	return seeds[best], nil
+}
+
+// seedRole says what judgeSeeds does with a seed.
+type seedRole uint8
+
+const (
+	// mainSeed competes for the lowest-index minimal F(S).
+	mainSeed seedRole = iota
+	// altSeed also competes within the second family, the seeds marked
+	// altSeed, for that family's own lowest-index minimal F(S).
+	altSeed
+	// dupSeed equals an earlier seed, so it cannot win a lowest-index
+	// tie: counted unchanged, never judged.
+	dupSeed
+)
+
+// seedRound is how many seeds judgeSeeds holds against one incumbent.
+const seedRound = 16
+
+// judgeSeeds judges seeds across the worker pool and returns the index of
+// the lowest-index seed achieving the minimal F(S) and, of the seeds
+// roles marks altSeed, the same within that family (-1 if none; nil roles
+// marks every seed mainSeed). seeds[0] runs first, alone; the rest go in
+// rounds of seedRound, each held against the best F(S) judged before the
+// round began. A seed at or above that incumbent cannot win, the
+// incumbent being an earlier seed's; an altSeed is held against the
+// worse of the two incumbents, so its verdict serves both. Incumbents are
+// fixed before each fan-out, so what is dismissed does not depend on
+// worker interleaving.
+func (sel *Selector) judgeSeeds(seeds []*strategy.Strategy, roles []seedRole, rep *Report, parent int) (best, alt int, err error) {
 	if len(seeds) == 0 {
-		return nil, fmt.Errorf("core: no candidate strategies to evaluate")
+		return 0, 0, fmt.Errorf("core: no candidate strategies to evaluate")
+	}
+	if roles == nil {
+		roles = make([]seedRole, len(seeds))
 	}
 	engines := sel.engines()
 	iters := make([]time.Duration, len(seeds))
-	judgeSeed := func(worker, i int) error {
-		eng := engines[worker]
-		if err := eng.Prepare(seeds[i]); err != nil {
+	best, alt = -1, -1
+	inc, altInc := unbounded, unbounded
+	for lo, hi := 0, 1; lo < len(seeds); lo, hi = hi, min(hi+seedRound, len(seeds)) {
+		mainLimit, altLimit := inc, max(inc, altInc)
+		if err := sel.eachTraced(parent, "seed-worker", hi-lo, len(engines), func(worker, k int) error {
+			i := lo + k
+			limit := mainLimit
+			switch roles[i] {
+			case dupSeed:
+				return nil
+			case altSeed:
+				limit = altLimit
+			}
+			eng := engines[worker]
+			if err := eng.Prepare(seeds[i]); err != nil {
+				return err
+			}
+			var err error
+			_, iters[i], err = sel.judge(eng, -1, limit)
 			return err
+		}); err != nil {
+			return 0, 0, err
 		}
-		limit := unbounded
-		if i > 0 {
-			limit = iters[0]
-		}
-		var err error
-		_, iters[i], err = sel.judge(eng, -1, limit)
-		return err
-	}
-	if err := judgeSeed(0, 0); err != nil {
-		return nil, err
-	}
-	if err := sel.eachTraced(parent, "seed-worker", len(seeds)-1, len(engines), func(worker, i int) error {
-		return judgeSeed(worker, i+1)
-	}); err != nil {
-		return nil, err
-	}
-	best := 0
-	for i, it := range iters {
-		if rep.tally(it) && it < iters[best] {
-			best = i
+		for i := lo; i < hi; i++ {
+			if roles[i] == dupSeed {
+				rep.unchanged++
+				continue
+			}
+			if it := iters[i]; rep.tally(it) {
+				if it < inc {
+					inc, best = it, i
+				}
+				if roles[i] == altSeed && it < altInc {
+					altInc, alt = it, i
+				}
+			}
 		}
 	}
 	rep.Evals += len(seeds)
-	return seeds[best], nil
+	return best, alt, nil
 }
 
 // probePosition judges every candidate option for tensor idx against the

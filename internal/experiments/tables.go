@@ -250,15 +250,17 @@ func measureBruteOffload(m *model.Model, c *cluster.Cluster, cm *cost.Models, s 
 	if err := eng.Prepare(work); err != nil {
 		return "error: " + err.Error()
 	}
+	// One Option value per (tensor, device), as the selector's offload
+	// search holds them: the engine memoizes chains by option identity.
+	onDev := make([][2]strategy.Option, len(idxs))
+	for b, i := range idxs {
+		onDev[b] = [2]strategy.Option{s.PerTensor[i].WithDevice(cost.GPU), s.PerTensor[i].WithDevice(cost.CPU)}
+	}
 	start := time.Now()
 	best := time.Duration(-1)
 	for mask := 0; mask < 1<<len(idxs); mask++ {
 		for b, i := range idxs {
-			dev := cost.GPU
-			if mask&(1<<b) != 0 {
-				dev = cost.CPU
-			}
-			if err := eng.SetOption(i, s.PerTensor[i].WithDevice(dev)); err != nil {
+			if err := eng.SetOption(i, onDev[b][mask>>b&1]); err != nil {
 				return "error: " + err.Error()
 			}
 		}

@@ -18,6 +18,9 @@
 //	               from a tensor's gradient-ready instant and stops them at
 //	               the verdict: resumed equals from scratch (incremental ==
 //	               full), and a stopped run really is at or above its limit
+//	engine-memo    the engine's chain table, through which every SetOption
+//	               goes: a looked-up chain equals a fresh derivation, on an
+//	               engine and on its clone, with and without free compression
 //	select-fp32    Select is never slower than uncompressed FP32
 //	select-allcomp Select is never materially slower than SelectAllCompressed
 //	select-baselines Select is never slower than any comparison system's
@@ -32,6 +35,7 @@ package diff
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -323,6 +327,9 @@ func (c *caseRun) fullCase() error {
 	if err := c.engineFork(cs, eng, cm, fp32, sAll, sSel); err != nil {
 		return err
 	}
+	if err := c.engineMemo(cs, cm); err != nil {
+		return err
+	}
 	if cs.Cluster.IntraLatency == 0 && cs.Cluster.InterLatency == 0 {
 		if err := c.betaScaling(cs, pred, eng); err != nil {
 			return err
@@ -413,6 +420,79 @@ func (c *caseRun) engineFork(cs *gen.Case, eng *timeline.Engine, cm *cost.Models
 	return nil
 }
 
+// engineMemo: the engine derives each (option, tensor size) chain once
+// and looks it up in a table after that, which every SetOption of the
+// selector goes through. On 16 seeded (tensor, option) draws, split
+// between an engine and its clone (which numbers options afresh), the
+// chain SetOption loaded, read back through Times and AppendChainSig,
+// must equal a fresh engine's derivation, and each engine's run must
+// equal a fresh engine's run of what it holds — under the case's cost
+// models and their free-compression copy. Each engine's first draw is a
+// never-seen option on the last tensor, so its table row is opened at
+// that tensor's size class.
+func (c *caseRun) engineMemo(cs *gen.Case, cm *cost.Models) error {
+	opts := strategy.Enumerate(cs.Cluster)
+	n := len(cs.Model.Tensors)
+	r := gen.New(c.seed ^ 0x6d656d6f) // "memo"
+	for _, models := range []*cost.Models{cm, cm.WithFreeCompression()} {
+		eng := timeline.New(cs.Model, cs.Cluster, models)
+		eng.RecordOps = false
+		held := randomStrategies(cs, r, 1, nil)
+		if err := eng.Prepare(held[0]); err != nil {
+			return err
+		}
+		engines := []*timeline.Engine{eng, eng.Clone()}
+		held = append(held, held[0].Clone())
+		for k := 0; k < 16; k++ {
+			w, idx, opt := k%2, r.Intn(n), opts[r.Intn(len(opts))]
+			if k < 2 {
+				idx, opt = n-1, opt.WithDevice(cost.CPU) // a new Steps array
+			}
+			if err := engines[w].SetOption(idx, opt); err != nil {
+				return err
+			}
+			held[w].PerTensor[idx] = opt
+			fresh := timeline.New(cs.Model, cs.Cluster, models)
+			wantComm, wantComp, err := fresh.Times(idx, opt)
+			if err != nil {
+				return err
+			}
+			wantSig, err := fresh.AppendChainSig(idx, opt, nil)
+			if err != nil {
+				return err
+			}
+			gotComm, gotComp, err := engines[w].Times(idx, opt)
+			if err != nil {
+				return err
+			}
+			gotSig, err := engines[w].AppendChainSig(idx, opt, nil)
+			if err != nil {
+				return err
+			}
+			c.count("engine-memo")
+			if gotComm != wantComm || gotComp != wantComp || !slices.Equal(gotSig, wantSig) {
+				c.fail("engine-memo", "tensor %d option %s: memoized chain %v (comm %v, comp %v), fresh %v (comm %v, comp %v) on %v",
+					idx, opt.Key(), gotSig, gotComm, gotComp, wantSig, wantComm, wantComp, cs)
+			}
+		}
+		for w, e := range engines {
+			got, err := e.Run()
+			if err != nil {
+				return err
+			}
+			want, err := timeline.New(cs.Model, cs.Cluster, models).IterTime(held[w])
+			if err != nil {
+				return err
+			}
+			c.count("engine-memo")
+			if got.Iter != want {
+				c.fail("engine-memo", "engine %d holds chains giving %v, a fresh engine %v on %v", w, got.Iter, want, cs)
+			}
+		}
+	}
+	return nil
+}
+
 // betaScaling: with α = 0 every comm term is pure serialization time, so
 // multiplying all bandwidths by k must divide every comm term by k. The
 // slack absorbs per-step nanosecond rounding multiplied by step counts.
@@ -448,11 +528,11 @@ func (c *caseRun) betaScaling(cs *gen.Case, pred *oracle.Predictor, eng *timelin
 			c.fail("beta-scaling", "oracle comm %v != %v/%d for option %s on %v",
 				got.Comm(), base.Comm(), k, opt.Key(), cs)
 		}
-		eBase, err := eng.CommTime(0, opt)
+		eBase, _, err := eng.Times(0, opt)
 		if err != nil {
 			return err
 		}
-		eGot, err := engS.CommTime(0, opt)
+		eGot, _, err := engS.Times(0, opt)
 		if err != nil {
 			return err
 		}

@@ -25,7 +25,7 @@ func TestHarnessSmoke(t *testing.T) {
 	}
 	// Every check family must actually have fired: a harness that
 	// silently skips its assertions would pass vacuously.
-	for _, check := range []string{"single-chain", "select-fp32", "select-allcomp", "select-baselines", "bracket", "engine-bound", "engine-fork", "beta-scaling", "add-tensor", "greedy-brute", "offload-exact"} {
+	for _, check := range []string{"single-chain", "select-fp32", "select-allcomp", "select-baselines", "bracket", "engine-bound", "engine-fork", "engine-memo", "beta-scaling", "add-tensor", "greedy-brute", "offload-exact"} {
 		if sum.Checks[check] == 0 {
 			t.Errorf("check %q never ran in 25 cases", check)
 		}

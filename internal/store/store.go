@@ -29,6 +29,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 )
 
@@ -250,7 +252,7 @@ func (s *Store) CreateJob(kind string, spec json.RawMessage) (Job, error) {
 	}
 	s.nextJob++
 	j := Job{
-		ID:    fmt.Sprintf("job-%06d", s.nextJob),
+		ID:    rowID("job-", s.nextJob),
 		Kind:  kind,
 		Spec:  append(json.RawMessage(nil), spec...),
 		State: JobQueued,
@@ -323,19 +325,31 @@ func (s *Store) ReserveReportID() (string, error) {
 		s.nextRep--
 		return "", err
 	}
-	return fmt.Sprintf("rep-%06d", s.nextRep), nil
+	return rowID("rep-", s.nextRep), nil
+}
+
+// rowID formats a row ID: prefix and the sequence number, zero-padded to
+// six digits.
+func rowID(prefix string, seq uint64) string {
+	digits := strconv.FormatUint(seq, 10)
+	if pad := 6 - len(digits); pad > 0 {
+		digits = "000000"[:pad] + digits
+	}
+	return prefix + digits
 }
 
 // PutReportWithID persists a report under an ID previously returned by
-// ReserveReportID.
+// ReserveReportID. Only that exact form is accepted: a second spelling of
+// the same sequence number would store a row beside the real one.
 func (s *Store) PutReportWithID(id, kind string, seed uint64, body json.RawMessage) (Report, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return Report{}, ErrClosed
 	}
-	var seq uint64
-	if _, err := fmt.Sscanf(id, "rep-%d", &seq); err != nil {
+	digits, ok := strings.CutPrefix(id, "rep-")
+	seq, err := strconv.ParseUint(digits, 10, 64)
+	if !ok || err != nil || rowID("rep-", seq) != id {
 		return Report{}, fmt.Errorf("store: malformed report ID %q", id)
 	}
 	r := Report{

@@ -334,3 +334,33 @@ func TestClosedStoreRejectsMutations(t *testing.T) {
 		t.Fatalf("PutReportWithID on closed store: %v", err)
 	}
 }
+
+// A report ID is accepted only as ReserveReportID spells it: any other
+// spelling of the same sequence number would put a second row with that
+// Seq beside the real one, and listings would order them arbitrarily.
+func TestPutReportRejectsMalformedIDs(t *testing.T) {
+	s := open(t, t.TempDir())
+	defer s.Close()
+	id, err := s.ReserveReportID()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []string{"rep-7x", "rep- 7", "rep-7 8", "rep-+7", "rep-7", "rep-0000001", "rep-", "rep--1", "job-000001", "000001", ""} {
+		if _, err := s.PutReportWithID(bad, "select", 1, nil); err == nil || err.Error() != fmt.Sprintf("store: malformed report ID %q", bad) {
+			t.Errorf("PutReportWithID(%q) = %v, want the malformed-ID error", bad, err)
+		}
+	}
+	if len(s.Reports()) != 0 {
+		t.Fatalf("malformed IDs stored %d rows", len(s.Reports()))
+	}
+	rep, err := s.PutReportWithID(id, "select", 1, json.RawMessage(`{}`))
+	if err != nil || rep.ID != id || rep.Seq != 1 {
+		t.Fatalf("reserved ID %q: row %+v, %v", id, rep, err)
+	}
+	if got := rowID("rep-", 1234567); got != "rep-1234567" {
+		t.Errorf("seven-digit sequence number formats as %q", got)
+	}
+	if _, err := s.PutReportWithID("rep-1234567", "select", 1, nil); err != nil {
+		t.Errorf("seven-digit report ID rejected: %v", err)
+	}
+}

@@ -118,13 +118,27 @@ func Marshal(s *Strategy) ([]byte, error) {
 	}{s.PerTensor})
 }
 
-// Unmarshal parses a strategy produced by Marshal.
+// Unmarshal parses a strategy produced by Marshal. Equal options share one
+// Steps array, as Uniform's do: consumers key per-option state by that
+// array's identity (the timeline engine's chain memo), so a decoded
+// strategy costs them one entry per distinct option, not per tensor.
 func Unmarshal(buf []byte) (*Strategy, error) {
 	var in struct {
 		PerTensor []Option `json:"per_tensor"`
 	}
 	if err := json.Unmarshal(buf, &in); err != nil {
 		return nil, err
+	}
+	var distinct []Option
+	for i, o := range in.PerTensor {
+		j := 0
+		for j < len(distinct) && !distinct[j].Equal(o) {
+			j++
+		}
+		if j == len(distinct) {
+			distinct = append(distinct, o)
+		}
+		in.PerTensor[i] = distinct[j]
 	}
 	return &Strategy{PerTensor: in.PerTensor}, nil
 }

@@ -47,6 +47,53 @@ func TestStrategyMarshalRoundTrip(t *testing.T) {
 	}
 }
 
+// Consumers key per-option state by the Steps array, so a decoded
+// strategy must hold one array per distinct option, as Uniform does: a
+// ResNet101-sized uniform strategy decodes to one, and a mixed one to one
+// per option, and both encode back to the same bytes.
+func TestUnmarshalInternsEqualOptions(t *testing.T) {
+	c := cluster.NVLinkTestbed(8)
+	opts := Enumerate(c)
+	mixed := Uniform(314, opts[0])
+	for i := range mixed.PerTensor {
+		mixed.PerTensor[i] = opts[i%3*7]
+	}
+	for _, tc := range []struct {
+		name     string
+		s        *Strategy
+		distinct int
+	}{
+		{"uniform", Uniform(314, opts[len(opts)-1]), 1},
+		{"mixed", mixed, 3},
+	} {
+		buf, err := Marshal(tc.s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := Unmarshal(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		arrays := map[*Step]bool{}
+		for i, o := range back.PerTensor {
+			if !o.Equal(tc.s.PerTensor[i]) {
+				t.Fatalf("%s: tensor %d decoded to %v, encoded %v", tc.name, i, o, tc.s.PerTensor[i])
+			}
+			arrays[&o.Steps[0]] = true
+		}
+		if len(arrays) != tc.distinct {
+			t.Errorf("%s: %d tensors decoded to %d Steps arrays, want %d", tc.name, len(back.PerTensor), len(arrays), tc.distinct)
+		}
+		again, err := Marshal(back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(again) != string(buf) {
+			t.Errorf("%s: re-encoding the decoded strategy changed its bytes", tc.name)
+		}
+	}
+}
+
 func TestUnmarshalRejectsGarbage(t *testing.T) {
 	cases := []string{
 		`{"per_tensor":[{"steps":[{"act":"zip"}]}]}`,

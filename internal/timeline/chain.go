@@ -229,34 +229,20 @@ func (e *Engine) AppendChainSig(idx int, opt strategy.Option, dst []ChainSig) ([
 	return dst, nil
 }
 
-// CommTime sums the pure communication time of an option for a tensor of
-// the given index — the tau_comm of §3 — with no queueing or overlap.
-func (e *Engine) CommTime(idx int, opt strategy.Option) (time.Duration, error) {
+// Times sums an option's chain for tensor idx into its pure communication
+// time — the τ_comm of §3 — and its pure compression time (compression,
+// decompression, staging) — τ_comp — with no queueing or overlap.
+func (e *Engine) Times(idx int, opt strategy.Option) (comm, comp time.Duration, err error) {
 	jobs, err := e.memoChain(idx, opt)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	var d time.Duration
 	for _, j := range jobs {
 		if j.res == ResIntra || j.res == ResInter {
-			d += j.dur
+			comm += j.dur
+		} else {
+			comp += j.dur // backward kernels never appear in a chain
 		}
 	}
-	return d, nil
-}
-
-// CompTime sums the pure compression time (compression, decompression,
-// staging) of an option — the tau_comp of §3.
-func (e *Engine) CompTime(idx int, opt strategy.Option) (time.Duration, error) {
-	jobs, err := e.memoChain(idx, opt)
-	if err != nil {
-		return 0, err
-	}
-	var d time.Duration
-	for _, j := range jobs {
-		if j.res != ResIntra && j.res != ResInter {
-			d += j.dur // backward kernels never appear in a chain
-		}
-	}
-	return d, nil
+	return comm, comp, nil
 }

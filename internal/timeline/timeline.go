@@ -180,16 +180,20 @@ type Engine struct {
 	busyUntil [numResources]time.Duration
 	cur       [numResources]leanJob
 
-	// chainMemo caches derived chains by (tensor bytes, option identity):
-	// chains depend on nothing else for a fixed engine configuration, and
-	// the greedy sweep probes the same few dozen candidate options across
-	// every tensor, so after warm-up SetOption is a map hit plus a copy
-	// instead of a full cost-model derivation. Option identity is the
-	// Steps backing array, which assumes options are immutable once built
-	// — the contract the strategy package's constructors already follow.
-	// Never shared: clones start with a nil memo, so concurrent engines
-	// never race on it.
-	chainMemo map[chainMemoKey][]jobSpec
+	// slots and memo cache derived chains by (option identity, size
+	// class): chains depend on nothing else for a fixed engine
+	// configuration, and the greedy sweep probes the same few dozen
+	// candidate options across every tensor, so after warm-up SetOption
+	// is a pointer-keyed map hit and a slice index instead of a full
+	// cost-model derivation. slots numbers each option on first sight by
+	// its Steps backing array, which assumes options are immutable once
+	// built and never re-sliced — the contract the strategy package's
+	// constructors already follow — and memo[slot*classes+class] is the
+	// chain (nil until derived); class numbers each tensor's size among
+	// the model's distinct sizes, fixed by New and shared with clones.
+	// The memo is never shared: clones start with an empty one, so
+	// concurrent engines never race on it.
+	slots map[*strategy.Step]int32
 
 	// arena is the chunk memoChain carves chain arrays out of; a full
 	// chunk stays alive through the chains that point into it.
@@ -215,6 +219,14 @@ type Engine struct {
 	// observed strategy changes.
 	bwNames   []string
 	stepNames map[stepNameKey]string
+
+	// The rest of the memo (see slots) sits after everything the event
+	// loop reads, whose offsets decide which fields share a cache line:
+	// declared ahead of that state, it made UGATIT's PCIe selection
+	// measure ~10 % slower.
+	memo    [][]jobSpec
+	class   []int32
+	classes int
 }
 
 // New builds an engine. The cost models must match the cluster.
@@ -229,11 +241,20 @@ func New(m *model.Model, c *cluster.Cluster, cm *cost.Models) *Engine {
 		// the outer array again.
 		chains:   make([][]jobSpec, 0, n),
 		chainSum: make([]time.Duration, n),
+		class:    make([]int32, n),
 	}
+	classOf := make(map[int64]int32)
 	for i, t := range m.Tensors {
 		e.bw[i] = cm.ComputeTime(t.Compute)
 		e.bwTotal += e.bw[i]
+		c, ok := classOf[t.Bytes()]
+		if !ok {
+			c = int32(len(classOf))
+			classOf[t.Bytes()] = c
+		}
+		e.class[i] = c
 	}
+	e.classes = len(classOf)
 	return e
 }
 
@@ -242,16 +263,17 @@ func New(m *model.Model, c *cluster.Cluster, cm *cost.Models) *Engine {
 // pipelines. Chain arrays are immutable (SetOption only ever repoints a
 // tensor's entry at a memoized chain), so the clone shares them outright
 // and neither engine can observe the other's writes. The model, cluster,
-// cost models and compute times are shared read-only too, so a clone
-// may Run concurrently with the original and with other clones — the
-// engine-pool pattern the parallel strategy search uses for independent
-// F(S) evaluations. The chain memo itself is not shared: each clone
-// rebuilds its own, keeping engines race-free without locks.
+// cost models, compute times and size classes are shared read-only too,
+// so a clone may Run concurrently with the original and with other
+// clones — the engine-pool pattern the parallel strategy search uses for
+// independent F(S) evaluations. The chain memo itself is not shared:
+// each clone rebuilds its own, keeping engines race-free without locks.
 func (e *Engine) Clone() *Engine {
 	out := &Engine{
 		M: e.M, C: e.C, Cost: e.Cost,
 		RecordOps: e.RecordOps,
 		forward:   e.forward, bwTotal: e.bwTotal, bw: e.bw,
+		class: e.class, classes: e.classes,
 		busy:     e.busy,
 		chainSum: append([]time.Duration(nil), e.chainSum...),
 	}
@@ -328,15 +350,6 @@ func (e *Engine) Prepare(s *strategy.Strategy) error {
 	return nil
 }
 
-// chainMemoKey identifies a derived chain: tensor size plus the option's
-// Steps backing array (options are immutable once built, so the array
-// pointer plus length is the option's identity).
-type chainMemoKey struct {
-	bytes int64
-	step0 *strategy.Step
-	n     int
-}
-
 // SetOption replaces tensor i's pipeline with opt. Prepare must have run.
 // The first assignment of each (tensor size, option) pair derives the
 // chain and memoizes it; every later assignment — the steady state of
@@ -402,12 +415,21 @@ const (
 // this cache, so the candidate-dedup pass that opens a sweep also warms
 // the memo for the probe loop that follows.
 func (e *Engine) memoChain(i int, opt strategy.Option) ([]jobSpec, error) {
-	key := chainMemoKey{bytes: e.M.Tensors[i].Bytes(), n: len(opt.Steps)}
-	if key.n > 0 {
-		key.step0 = &opt.Steps[0]
+	if len(opt.Steps) == 0 {
+		return e.chainInto(i, opt, nil) // the empty option is an error
 	}
-	if memo, ok := e.chainMemo[key]; ok {
-		return memo, nil
+	slot, ok := e.slots[&opt.Steps[0]]
+	if !ok {
+		if e.slots == nil {
+			e.slots = make(map[*strategy.Step]int32)
+		}
+		slot = int32(len(e.slots))
+		e.slots[&opt.Steps[0]] = slot
+		e.memo = append(e.memo, make([][]jobSpec, e.classes)...)
+	}
+	entry := &e.memo[int(slot)*e.classes+int(e.class[i])]
+	if *entry != nil {
+		return *entry, nil
 	}
 	// A step expands to at most two jobs (CPU compression adds a staging
 	// hop), so this much of the arena always holds the full chain. The
@@ -430,10 +452,7 @@ func (e *Engine) memoChain(i int, opt strategy.Option) ([]jobSpec, error) {
 	if len(chain) > 0xfe {
 		return nil, fmt.Errorf("timeline: tensor %d chain of %d jobs exceeds job-packing width", i, len(chain))
 	}
-	if e.chainMemo == nil {
-		e.chainMemo = make(map[chainMemoKey][]jobSpec)
-	}
-	e.chainMemo[key] = chain
+	*entry = chain
 	return chain, nil
 }
 

@@ -262,9 +262,12 @@ func TestCommTimeDropsWithCompression(t *testing.T) {
 	c := cluster.NVLinkTestbed(8)
 	m := commBound()
 	e := newEngine(t, m, c, dgc())
-	plain, err := e.CommTime(0, strategy.NoCompression(c))
+	plain, pt, err := e.Times(0, strategy.NoCompression(c))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if pt != 0 {
+		t.Fatalf("FP32 option has compression time %v", pt)
 	}
 	var compOpt strategy.Option
 	for _, o := range strategy.EnumerateGPU(c) {
@@ -273,22 +276,15 @@ func TestCommTimeDropsWithCompression(t *testing.T) {
 			break
 		}
 	}
-	compressed, err := e.CommTime(0, compOpt)
+	compressed, ct, err := e.Times(0, compOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if compressed >= plain {
 		t.Fatalf("compressed comm time %v >= plain %v (option %v)", compressed, plain, compOpt)
 	}
-	ct, err := e.CompTime(0, compOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if ct <= 0 {
 		t.Fatal("compression option has zero compression time")
-	}
-	if pt, _ := e.CompTime(0, strategy.NoCompression(c)); pt != 0 {
-		t.Fatalf("FP32 option has compression time %v", pt)
 	}
 }
 
