@@ -15,11 +15,13 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"time"
 
 	"espresso/internal/cost"
 	"espresso/internal/netsim"
 	"espresso/internal/obs/flight"
+	"espresso/internal/splitmix"
 )
 
 // Detection labels how a membership change was noticed.
@@ -110,7 +112,7 @@ func (r *Runner) classifyMembershipFailure(err error) (string, bool) {
 	}
 	if errors.Is(err, os.ErrDeadlineExceeded) && r.Plan.Deadline > 0 {
 		want, werr := r.Plan.MembersAt(r.clock+r.Plan.Deadline.D(), r.C.Machines)
-		if werr == nil && !equalMembers(want, r.members) {
+		if werr == nil && !slices.Equal(want, r.members) {
 			return DetectDeadline, true
 		}
 	}
@@ -156,7 +158,7 @@ func (r *Runner) reconfigure(it int, at time.Duration, detected string, cause er
 		if nw2, err = netsim.New(len(survivors), r.C.InterLatency, r.C.InterBandwidth); err != nil {
 			return err
 		}
-		nw2.Seed(mixSeed(r.Plan.Seed, uint64(gen)))
+		nw2.Seed(splitmix.Nth(r.Plan.Seed, uint64(gen)))
 	}
 	nw2.SetRecovery(r.Plan.Retry.Recovery())
 	// Re-lower the plan for the survivor mapping and replay it to now:
@@ -203,25 +205,10 @@ func (r *Runner) reconfigure(it int, at time.Duration, detected string, cause er
 	case PolicyContinueDegraded:
 		// Keep the stale strategy — the degradation baseline.
 	default: // reselect, abort-after-n-failures
-		gpuS, cpuS := r.Plan.DeviceScalesAt(r.clock)
-		next, rs, err := Reselect(r.M, r.curC, r.Spec, r.Strategy, ReselectOptions{
-			InterScale: bottleneckScale(r.nw.Snapshot(), r.baseBps),
-			GPUScale:   gpuS, CPUScale: cpuS,
-			Parallelism: r.Parallelism, Explain: r.Explain,
-			ProbeDeadline: r.ProbeDeadline,
-			Tracer:        r.Tracer,
-		})
-		if err != nil {
+		// The reconfig anomaly below is this re-selection's flight record.
+		if ev.Reselection, err = r.reselect(it, r.clock, nil); err != nil {
 			return err
 		}
-		rs.Iteration = it
-		if r.Deterministic {
-			rs.SelectionTime = 0
-		}
-		if rs.Adopted {
-			r.Strategy = next
-		}
-		ev.Reselection = rs
 	}
 	r.report.Membership = append(r.report.Membership, ev)
 	if r.Flight != nil {
@@ -259,14 +246,6 @@ func (r *Runner) quiesce(nw *netsim.Network) (attempts int, elapsed time.Duratio
 // membership digest, not a payload.
 const barrierBytes = 64
 
-// mixSeed derives a per-generation PRNG seed (splitmix64 finalizer).
-func mixSeed(seed, gen uint64) uint64 {
-	z := seed + gen*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // ranksOf lists the true indices of a membership vector.
 func ranksOf(members []bool) []int {
 	out := make([]int, 0, len(members))
@@ -276,19 +255,6 @@ func ranksOf(members []bool) []int {
 		}
 	}
 	return out
-}
-
-// equalMembers compares membership vectors.
-func equalMembers(a, b []bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // diffMembers reports the ranks that left (in old, not in new) and

@@ -46,9 +46,6 @@ func (mo *Monitor) Observe(predicted, observed time.Duration) (breach, tripped b
 	return breach, mo.tripped
 }
 
-// Tripped reports whether sustained degradation has been detected.
-func (mo *Monitor) Tripped() bool { return mo.tripped }
-
 // Reset clears breach state after the controller has acted (re-selection
 // adopted), so a later, different degradation can trip again.
 func (mo *Monitor) Reset() {

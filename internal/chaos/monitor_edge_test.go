@@ -25,7 +25,7 @@ func TestMonitorConsecutiveOneTripsOnFirstBreach(t *testing.T) {
 	if !tripped {
 		t.Fatal("K=1 monitor did not trip on its first breach")
 	}
-	if !mo.Tripped() {
+	if !mo.tripped {
 		t.Fatal("trip not latched")
 	}
 }
@@ -43,7 +43,7 @@ func TestMonitorStreakResetsEachHealthyIteration(t *testing.T) {
 			t.Fatalf("round %d: healthy iteration breach=%v tripped=%v", i, breach, tripped)
 		}
 	}
-	if mo.Tripped() {
+	if mo.tripped {
 		t.Fatal("alternating breach/healthy tripped the monitor")
 	}
 }
@@ -83,7 +83,7 @@ func TestExpiredFaultsNeverTriggerReselection(t *testing.T) {
 	if rep.Reselected != nil {
 		t.Fatalf("expired fault triggered re-selection at iteration %d", rep.Reselected.Iteration)
 	}
-	if r.Monitor().Tripped() {
+	if r.monitor.tripped {
 		t.Fatal("monitor tripped after every fault expired")
 	}
 	for _, s := range rep.Samples[1:] {

@@ -12,9 +12,11 @@
 package chaos
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"time"
 
@@ -87,8 +89,8 @@ const (
 // kind-specific; Validate enforces which apply.
 type Fault struct {
 	Kind FaultKind `json:"kind"`
-	// Src/Dst select a link for straggler/flap; -1 (or omitted src)
-	// means every link.
+	// Src/Dst select a link for straggler/flap: src -1 means every link;
+	// dst is then ignored.
 	Src int `json:"src"`
 	Dst int `json:"dst"`
 	// Scale is the bandwidth multiplier in (0, 1) for straggler/flap, or
@@ -321,8 +323,10 @@ func (p *Plan) Validate() error {
 			if f.Scale <= 0 || f.Scale >= 1 {
 				return at("scale %g, want (0, 1)", f.Scale)
 			}
-			if (f.Src < 0) != (f.Dst < 0) && f.Src != -1 {
-				return at("src/dst must both be set or src = -1 for every link")
+			// An omitted src or dst reads as 0, so a plan that forgets
+			// src names the self-link 0->0, which no message uses.
+			if f.Src < -1 || (f.Src >= 0 && (f.Dst < 0 || f.Dst == f.Src)) {
+				return at("link %d->%d: name two distinct machines, or src -1 for every link", f.Src, f.Dst)
 			}
 			if f.Kind == Flap {
 				if f.Period <= 0 {
@@ -505,11 +509,7 @@ func (p *Plan) membershipEvents() []*Fault {
 			out = append(out, &p.Faults[i])
 		}
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Start < out[j-1].Start; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.SortStableFunc(out, func(a, b *Fault) int { return cmp.Compare(a.Start, b.Start) })
 	return out
 }
 

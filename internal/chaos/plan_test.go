@@ -36,56 +36,64 @@ func TestParseAcceptsStringsAndNanoseconds(t *testing.T) {
 	}
 }
 
+// Each row must fail for its own reason, so a row cannot quietly start
+// failing on an earlier rule and leave its check untested.
 func TestValidateRejections(t *testing.T) {
-	bad := []string{
-		`{"faults": [{"kind": "straggler", "scale": 1.5}]}`,
-		`{"faults": [{"kind": "straggler", "scale": 0}]}`,
-		`{"faults": [{"kind": "flap", "scale": 0.5, "duration": "1ms"}]}`,
-		`{"faults": [{"kind": "flap", "scale": 0.5, "period": "1ms"}]}`,
-		`{"faults": [{"kind": "flap", "scale": 0.5, "period": "1us", "duration": "1s"}]}`,
-		`{"faults": [{"kind": "loss", "rate": 1.0}]}`,
-		`{"faults": [{"kind": "slow-device", "scale": 0.5}]}`,
-		`{"faults": [{"kind": "slow-device", "scale": 2, "device": "tpu"}]}`,
-		`{"faults": [{"kind": "corrupt", "rate": 0}]}`,
-		`{"faults": [{"kind": "meteor"}]}`,
-		`{"faults": [{"kind": "loss", "rate": 0.1, "start": "-1ms"}]}`,
-		`{"monitor": {"factor": 0.5}, "faults": []}`,
+	for _, tc := range []struct{ plan, want string }{
+		{`{"faults": [{"kind": "straggler", "src": -1, "scale": 1.5}]}`, "scale 1.5, want (0, 1)"},
+		{`{"faults": [{"kind": "straggler", "src": -1, "scale": 0}]}`, "scale 0, want (0, 1)"},
+		{`{"faults": [{"kind": "flap", "src": -1, "scale": 0.5, "duration": "1ms"}]}`, "flap needs a positive period"},
+		{`{"faults": [{"kind": "flap", "src": -1, "scale": 0.5, "period": "1ms"}]}`, "flap needs a bounded duration"},
+		{`{"faults": [{"kind": "flap", "src": -1, "scale": 0.5, "period": "1us", "duration": "1s"}]}`, "flap cycles, want <= 10000"},
+		{`{"faults": [{"kind": "loss", "rate": 1.0}]}`, "rate 1, want (0, 1)"},
+		{`{"faults": [{"kind": "slow-device", "scale": 0.5}]}`, "scale 0.5, want >= 1"},
+		{`{"faults": [{"kind": "slow-device", "scale": 2, "device": "tpu"}]}`, `device "tpu"`},
+		{`{"faults": [{"kind": "corrupt", "rate": 0}]}`, "rate 0, want (0, 1]"},
+		{`{"faults": [{"kind": "meteor"}]}`, "unknown kind"},
+		{`{"faults": [{"kind": "loss", "rate": 0.1, "start": "-1ms"}]}`, "negative times"},
+		{`{"monitor": {"factor": 0.5}, "faults": []}`, "monitor factor 0.5"},
 		// Hardened validation: explicit zero-duration windows.
-		`{"faults": [{"kind": "loss", "rate": 0.1, "duration": "0s"}]}`,
-		`{"faults": [{"kind": "straggler", "scale": 0.5, "duration": 0}]}`,
+		{`{"faults": [{"kind": "loss", "rate": 0.1, "duration": "0s"}]}`, "zero-duration fault window"},
+		{`{"faults": [{"kind": "straggler", "src": -1, "scale": 0.5, "duration": 0}]}`, "zero-duration fault window"},
+		// A link fault must name two distinct machines or every link
+		// (src -1). An omitted src reads as 0, so forgetting it names the
+		// self-link 0->0, which no message uses: the run would stay
+		// healthy and never trip.
+		{`{"faults": [{"kind": "straggler", "scale": 0.1, "start": "0s"}]}`, "src -1 for every link"},
+		{`{"faults": [{"kind": "straggler", "src": 2, "dst": 2, "scale": 0.1}]}`, "src -1 for every link"},
+		{`{"faults": [{"kind": "flap", "src": -3, "dst": -9, "scale": 0.5, "duration": "10ms", "period": "1ms"}]}`, "src -1 for every link"},
 		// Contradictory overlapping faults on the same link.
-		`{"faults": [
+		{`{"faults": [
 			{"kind": "straggler", "src": -1, "scale": 0.5, "start": "0s"},
-			{"kind": "straggler", "src": 0, "dst": 1, "scale": 0.25, "start": "5ms"}]}`,
-		`{"faults": [
+			{"kind": "straggler", "src": 0, "dst": 1, "scale": 0.25, "start": "5ms"}]}`, "on the same link"},
+		{`{"faults": [
 			{"kind": "straggler", "src": 0, "dst": 1, "scale": 0.5, "start": "0s", "duration": "10ms"},
-			{"kind": "flap", "src": 0, "dst": 1, "scale": 0.25, "start": "5ms", "duration": "10ms", "period": "1ms"}]}`,
-		`{"faults": [
+			{"kind": "flap", "src": 0, "dst": 1, "scale": 0.25, "start": "5ms", "duration": "10ms", "period": "1ms"}]}`, "on the same link"},
+		{`{"faults": [
 			{"kind": "loss", "rate": 0.1, "start": "0s"},
-			{"kind": "loss", "rate": 0.2, "start": "1ms"}]}`,
+			{"kind": "loss", "rate": 0.2, "start": "1ms"}]}`, "contradictory loss rates"},
 		// Membership validation.
-		`{"faults": [{"kind": "leave", "rank": -1}]}`,
-		`{"faults": [{"kind": "leave", "rank": 0, "scale": 0.5}]}`,
-		`{"faults": [{"kind": "leave", "rank": 0, "duration": "1ms"}]}`,
-		`{"faults": [
+		{`{"faults": [{"kind": "leave", "rank": -1}]}`, "rank -1, want >= 0"},
+		{`{"faults": [{"kind": "leave", "rank": 0, "scale": 0.5}]}`, "do not apply to membership events"},
+		{`{"faults": [{"kind": "leave", "rank": 0, "duration": "1ms"}]}`, "instantaneous"},
+		{`{"faults": [
 			{"kind": "leave", "rank": 1, "start": "1ms"},
-			{"kind": "leave", "rank": 1, "start": "2ms"}]}`,
-		`{"faults": [{"kind": "join", "rank": 1, "start": "1ms"}]}`,
-		`{"faults": [
+			{"kind": "leave", "rank": 1, "start": "2ms"}]}`, "double leave of rank 1"},
+		{`{"faults": [{"kind": "join", "rank": 1, "start": "1ms"}]}`, "join of present rank 1"},
+		{`{"faults": [
 			{"kind": "leave", "rank": 1, "start": "1ms"},
-			{"kind": "join", "rank": 1, "start": "1ms"}]}`,
+			{"kind": "join", "rank": 1, "start": "1ms"}]}`, "two membership events"},
 		// A link fault naming a rank during its absence.
-		`{"faults": [
+		{`{"faults": [
 			{"kind": "leave", "rank": 1, "start": "1ms"},
-			{"kind": "straggler", "src": 1, "dst": 2, "scale": 0.5, "start": "2ms", "duration": "1ms"}]}`,
+			{"kind": "straggler", "src": 1, "dst": 2, "scale": 0.5, "start": "2ms", "duration": "1ms"}]}`, "overlaps rank 1's absence"},
 		// Reconfig config validation.
-		`{"reconfig": {"policy": "panic"}, "faults": []}`,
-		`{"reconfig": {"max_failures": -1}, "faults": []}`,
-		`{"reconfig": {"barrier_backoff": 0.5}, "faults": []}`,
-	}
-	for _, src := range bad {
-		if _, err := Parse([]byte(src)); err == nil {
-			t.Errorf("accepted invalid plan %s", src)
+		{`{"reconfig": {"policy": "panic"}, "faults": []}`, `reconfig policy "panic"`},
+		{`{"reconfig": {"max_failures": -1}, "faults": []}`, "max_failures -1"},
+		{`{"reconfig": {"barrier_backoff": 0.5}, "faults": []}`, "barrier_backoff 0.5"},
+	} {
+		if _, err := Parse([]byte(tc.plan)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("plan %s: got %v, want an error containing %q", tc.plan, err, tc.want)
 		}
 	}
 }
@@ -236,11 +244,11 @@ func TestMonitorTripsOnConsecutiveBreaches(t *testing.T) {
 	if _, tripped := feed(16 * time.Millisecond); !tripped {
 		t.Fatal("three consecutive breaches did not trip")
 	}
-	if !mo.Tripped() {
+	if !mo.tripped {
 		t.Fatal("Tripped not latched")
 	}
 	mo.Reset()
-	if mo.Tripped() {
+	if mo.tripped {
 		t.Fatal("Reset did not clear trip")
 	}
 }

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"espresso/internal/cluster"
@@ -13,6 +14,7 @@ import (
 	"espresso/internal/obs"
 	"espresso/internal/obs/flight"
 	"espresso/internal/obs/wtrace"
+	"espresso/internal/splitmix"
 	"espresso/internal/strategy"
 	"espresso/internal/timeline"
 )
@@ -89,23 +91,11 @@ type Runner struct {
 	wireFaults int64
 	prevWire   int64
 	reselected bool
-	wireRNG    rng
-	report     *Report
+	// wireRNG draws the data-plane corruption, independent of the
+	// network's loss stream.
+	wireRNG splitmix.Rand
+	report  *Report
 }
-
-// rng is a splitmix64 stream for the data-plane corruption draws,
-// independent of the network's loss stream.
-type rng struct{ s uint64 }
-
-func (r *rng) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-func (r *rng) float64() float64 { return float64(r.next()>>11) / (1 << 53) }
 
 // NewRunner builds a runner: a fresh message-level network shaped like
 // the cluster's inter-machine fabric, armed with the plan's faults and
@@ -140,24 +130,15 @@ func NewRunner(m *model.Model, c *cluster.Cluster, spec compress.Spec, s *strate
 		nw:            nw, cm: cm, monitor: NewMonitor(plan.Monitor),
 		baseBps: c.InterBandwidth,
 		curC:    c, members: members, rankMap: rankMap,
-		wireRNG: rng{s: plan.Seed ^ 0xc0ffee},
+		wireRNG: splitmix.Rand(plan.Seed ^ 0xc0ffee),
 		report:  &Report{Plan: plan},
 	}, nil
 }
-
-// Network exposes the faulted network (tests inspect link state).
-func (r *Runner) Network() *netsim.Network { return r.nw }
-
-// Monitor exposes the degradation detector.
-func (r *Runner) Monitor() *Monitor { return r.monitor }
 
 // ActiveCluster is the cluster restricted to the current membership —
 // the full cluster until a rank leaves. Data planes sized to the
 // topology (espresso-sim's DDL executor) rebuild when it changes.
 func (r *Runner) ActiveCluster() *cluster.Cluster { return r.curC }
-
-// Members lists the surviving global ranks, ascending.
-func (r *Runner) Members() []int { return append([]int(nil), r.rankMap...) }
 
 // Report returns the accumulated run report (live; WriteJSON-able at
 // any point). Fault statistics aggregate across every network
@@ -187,12 +168,11 @@ func (r *Runner) WireConfig() *ddl.WireConfig {
 		MaxAttempts: r.Plan.Retry.MaxAttempts,
 		Fault: func(buf []byte) []byte {
 			rate := r.Plan.CorruptRate(r.clock)
-			if rate <= 0 || r.wireRNG.float64() >= rate || len(buf) == 0 {
+			if rate <= 0 || r.wireRNG.Float64() >= rate || len(buf) == 0 {
 				return buf
 			}
 			r.wireFaults++
-			idx := int(r.wireRNG.next() % uint64(len(buf)))
-			buf[idx] ^= 0x5a
+			buf[r.wireRNG.Intn(len(buf))] ^= 0x5a
 			return buf
 		},
 	}
@@ -201,18 +181,18 @@ func (r *Runner) WireConfig() *ddl.WireConfig {
 // engineAt returns the analytic engine for the device scales active at
 // virtual time t: the base cost models when healthy, scaled clones when
 // a slow-device fault is open.
-func (r *Runner) engineAt(t time.Duration) (*timeline.Engine, float64, float64, error) {
+func (r *Runner) engineAt(t time.Duration) (*timeline.Engine, error) {
 	gpuS, cpuS := r.Plan.DeviceScalesAt(t)
 	cm := r.cm
 	if gpuS != 1 || cpuS != 1 {
 		var err error
 		if cm, err = cm.WithDeviceScale(gpuS, cpuS); err != nil {
-			return nil, 0, 0, err
+			return nil, err
 		}
 	}
 	eng := timeline.New(r.M, r.curC, cm)
 	eng.RecordOps = false
-	return eng, gpuS, cpuS, nil
+	return eng, nil
 }
 
 // replay runs the strategy's inter-machine communication phases on the
@@ -283,7 +263,7 @@ func (r *Runner) RunIteration(it int) (IterationSample, error) {
 			if err != nil {
 				return IterationSample{}, err
 			}
-			if !equalMembers(want, r.members) {
+			if !slices.Equal(want, r.members) {
 				if err := r.reconfigure(it, r.clock, DetectSchedule, nil); err != nil {
 					return IterationSample{}, err
 				}
@@ -324,7 +304,7 @@ func (r *Runner) runIterationOnce(it int) (IterationSample, error) {
 	iterStart := r.clock
 	r.nw.Idle(iterStart)
 
-	eng, gpuS, cpuS, err := r.engineAt(iterStart)
+	eng, err := r.engineAt(iterStart)
 	if err != nil {
 		return IterationSample{}, err
 	}
@@ -378,37 +358,42 @@ func (r *Runner) runIterationOnce(it int) (IterationSample, error) {
 	r.report.Samples = append(r.report.Samples, sample)
 
 	if tripped && !r.reselected {
-		if err := r.reselect(it, gpuS, cpuS); err != nil {
+		rs, err := r.reselect(it, iterStart, r.Flight)
+		if err != nil {
 			return sample, err
 		}
+		r.report.Reselected = rs
+		r.reselected = true
+		r.monitor.Reset()
 	}
 	return sample, nil
 }
 
-// reselect snapshots the degraded topology and re-runs strategy
-// selection, adopting the winner when it improves on the incumbent.
-func (r *Runner) reselect(it int, gpuS, cpuS float64) error {
-	scale := bottleneckScale(r.nw.Snapshot(), r.baseBps)
+// reselect re-runs strategy selection on the degraded topology — the
+// live network's bottleneck link and the device scales active at t — and
+// adopts the winner when it improves on the incumbent. fl receives the
+// re-selection's flight record; a caller that records its own anomaly
+// passes nil.
+func (r *Runner) reselect(it int, t time.Duration, fl *flight.Recorder) (*Reselection, error) {
+	gpuS, cpuS := r.Plan.DeviceScalesAt(t)
 	next, rs, err := Reselect(r.M, r.curC, r.Spec, r.Strategy, ReselectOptions{
-		InterScale: scale, GPUScale: gpuS, CPUScale: cpuS,
+		InterScale: bottleneckScale(r.nw.Snapshot(), r.baseBps),
+		GPUScale:   gpuS, CPUScale: cpuS,
 		Parallelism: r.Parallelism, Explain: r.Explain,
 		ProbeDeadline: r.ProbeDeadline,
-		Tracer:        r.Tracer, Flight: r.Flight,
+		Tracer:        r.Tracer, Flight: fl,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	rs.Iteration = it
 	if r.Deterministic {
 		rs.SelectionTime = 0
 	}
-	r.report.Reselected = rs
-	r.reselected = true
 	if rs.Adopted {
 		r.Strategy = next
 	}
-	r.monitor.Reset()
-	return nil
+	return rs, nil
 }
 
 // Run executes iters iterations and returns the final report. It stops

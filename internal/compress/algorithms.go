@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+
+	"espresso/internal/splitmix"
 )
 
 // --- FP32 passthrough ---
@@ -48,7 +50,7 @@ func (c randomK) Compress(x []float32, seed uint64) *Payload {
 func (c randomK) CompressInto(dst *Payload, x []float32, seed uint64) *Payload {
 	n := len(x)
 	k := keepCount(c.spec.Ratio, n)
-	rng := splitmix64(seed)
+	rng := splitmix.Rand(seed)
 	sc := kernelPool.Get().(*kernelScratch)
 	idx := floydSample(&rng, n, k, sc.resetSet(k), scratchBuf(dst.Indices, k))
 	kernelPool.Put(sc)
@@ -66,9 +68,9 @@ func (c randomK) WireBytes(n int) int {
 // floydSample draws k distinct indices from [0,n) with Robert Floyd's
 // algorithm into idx (whose capacity must be at least k), returned sorted
 // ascending. chosen is the caller's empty membership scratch.
-func floydSample(rng *splitmix64, n, k int, chosen map[int32]struct{}, idx []int32) []int32 {
+func floydSample(rng *splitmix.Rand, n, k int, chosen map[int32]struct{}, idx []int32) []int32 {
 	for j := n - k; j < n; j++ {
-		t := int32(rng.intn(j + 1))
+		t := int32(rng.Intn(j + 1))
 		if _, dup := chosen[t]; dup {
 			t = int32(j)
 		}
@@ -137,11 +139,11 @@ func (c topK) WireBytes(n int) int {
 // which costs selectTopK a pass over all of x, rare (about 1 call in 20
 // at 32 Ki elements) while the candidates stay a few percent of x.
 func dgcFloor(x []float32, ratio float64, seed uint64, sc *kernelScratch) uint32 {
-	rng := splitmix64(seed)
+	rng := splitmix.Rand(seed)
 	sample := scratchBuf(sc.keys, dgcSampleSize(len(x)))
 	sc.keys = sample
 	for i := range sample {
-		sample[i] = magKey(x[rng.intn(len(x))])
+		sample[i] = magKey(x[rng.Intn(len(x))])
 	}
 	below := max(0, int(float64(len(sample))*(1-2*ratio)))
 	floor, _ := kthLargest(sample, len(sample)-below)
@@ -237,7 +239,7 @@ func (c qsgd) Compress(x []float32, seed uint64) *Payload {
 func (c qsgd) CompressInto(dst *Payload, x []float32, seed uint64) *Payload {
 	n := len(x)
 	levels := c.spec.Levels
-	rng := splitmix64(seed)
+	rng := splitmix.Rand(seed)
 	var norm float64
 	for _, v := range x {
 		norm += float64(v) * float64(v)
@@ -256,7 +258,7 @@ func (c qsgd) CompressInto(dst *Payload, x []float32, seed uint64) *Payload {
 			u := math.Abs(float64(v)) / norm * float64(levels)
 			floor := math.Floor(u)
 			level = uint64(floor)
-			if rng.float64() < u-floor {
+			if rng.Float64() < u-floor {
 				level++
 			}
 			if level > uint64(levels) {
@@ -317,7 +319,7 @@ func (c ternGrad) Compress(x []float32, seed uint64) *Payload {
 
 func (c ternGrad) CompressInto(dst *Payload, x []float32, seed uint64) *Payload {
 	n := len(x)
-	rng := splitmix64(seed)
+	rng := splitmix.Rand(seed)
 	var maxAbs float64
 	for _, v := range x {
 		a := math.Abs(float64(v))
@@ -330,7 +332,7 @@ func (c ternGrad) CompressInto(dst *Payload, x []float32, seed uint64) *Payload 
 		code := uint64(0) // 0 => zero, 1 => +scale, 2 => -scale
 		if maxAbs > 0 {
 			p := math.Abs(float64(v)) / maxAbs
-			if rng.float64() < p {
+			if rng.Float64() < p {
 				if v >= 0 {
 					code = 1
 				} else {

@@ -235,24 +235,3 @@ func AddDecompressed(c Compressor, p *Payload, acc []float32) error {
 	}
 	return nil
 }
-
-// splitmix64 is the PRNG used for all randomized selection. It is tiny,
-// fast, and identical on every worker given the same seed.
-type splitmix64 uint64
-
-func (s *splitmix64) next() uint64 {
-	*s += 0x9e3779b97f4a7c15
-	z := uint64(*s)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-func (s *splitmix64) float64() float64 {
-	return float64(s.next()>>11) / float64(1<<53)
-}
-
-// intn returns a uniform integer in [0, n).
-func (s *splitmix64) intn(n int) int {
-	return int(s.next() % uint64(n))
-}

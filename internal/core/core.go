@@ -10,6 +10,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -504,7 +505,7 @@ func (sel *Selector) candidatesFor(idx int) ([]strategy.Option, error) {
 		cur := sigs[start:]
 		dup := false
 		for j := 0; j+1 < len(offs) && !dup; j++ {
-			dup = sigsEqual(sigs[offs[j]:offs[j+1]], cur)
+			dup = slices.Equal(sigs[offs[j]:offs[j+1]], cur)
 		}
 		if dup {
 			sigs = sigs[:start]
@@ -519,19 +520,6 @@ func (sel *Selector) candidatesFor(idx int) ([]strategy.Option, error) {
 	sel.sigScratch, sel.offScratch = sigs, offs
 	sel.dedupBySize[size] = out
 	return out, nil
-}
-
-// sigsEqual reports whether two chain signatures are element-wise equal.
-func sigsEqual(a, b []timeline.ChainSig) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // order returns tensor indices sorted for Algorithm 1, lines 2-3:

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"time"
 
@@ -166,7 +168,7 @@ func (sel *Selector) explainDecisions(s *strategy.Strategy, rep *Report, parent 
 		}
 		// Stable sort by iteration time so ties keep probe order (the
 		// chosen option first among equals).
-		sortEvals(d.Candidates)
+		slices.SortStableFunc(d.Candidates, func(a, b CandidateEval) int { return cmp.Compare(a.Iter, b.Iter) })
 		runnerSet := false
 		for i := range d.Candidates {
 			if !runnerSet && !d.Candidates[i].Option.Equal(chosen) {
@@ -219,15 +221,5 @@ func WriteDecisions(w io.Writer, decs []TensorDecision) {
 	}
 	if ties > 0 {
 		fmt.Fprintf(w, "%d tensors are ties: the best alternative predicts the same iteration time\n", ties)
-	}
-}
-
-// sortEvals stable-sorts candidate evaluations by ascending predicted
-// iteration time.
-func sortEvals(evals []CandidateEval) {
-	for i := 1; i < len(evals); i++ {
-		for j := i; j > 0 && evals[j].Iter < evals[j-1].Iter; j-- {
-			evals[j], evals[j-1] = evals[j-1], evals[j]
-		}
 	}
 }

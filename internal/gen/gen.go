@@ -18,34 +18,15 @@ import (
 	"espresso/internal/cluster"
 	"espresso/internal/compress"
 	"espresso/internal/model"
+	"espresso/internal/splitmix"
 )
 
-// Rand is a splitmix64 stream — tiny, fast, and identical everywhere,
-// with none of math/rand's cross-version stability caveats.
-type Rand struct{ s uint64 }
+// Rand is the splitmix64 stream (Uint64, Float64, Intn) plus the
+// ranged draws the generator needs.
+type Rand struct{ splitmix.Rand }
 
 // New seeds a stream. Distinct seeds give independent-looking streams.
-func New(seed uint64) *Rand { return &Rand{s: seed} }
-
-// Uint64 returns the next 64 random bits.
-func (r *Rand) Uint64() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// Float64 returns a uniform draw in [0, 1).
-func (r *Rand) Float64() float64 { return float64(r.Uint64()>>11) / (1 << 53) }
-
-// Intn returns a uniform draw in [0, n).
-func (r *Rand) Intn(n int) int {
-	if n <= 0 {
-		panic("gen: Intn with non-positive n")
-	}
-	return int(r.Uint64() % uint64(n))
-}
+func New(seed uint64) *Rand { return &Rand{splitmix.Rand(seed)} }
 
 // Between returns a uniform draw in [lo, hi].
 func (r *Rand) Between(lo, hi int) int {

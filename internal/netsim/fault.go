@@ -196,20 +196,3 @@ func (s FaultStats) Add(o FaultStats) FaultStats {
 	s.WastedBytes += o.WastedBytes
 	return s
 }
-
-// rng64 is a splitmix64 PRNG — a private copy so netsim's loss draws
-// never depend on math/rand's global stream or Go-version changes.
-type rng64 struct{ s uint64 }
-
-func (r *rng64) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// float64 returns a uniform draw in [0, 1).
-func (r *rng64) float64() float64 {
-	return float64(r.next()>>11) / (1 << 53)
-}

@@ -3,6 +3,7 @@ package netsim
 import (
 	"errors"
 	"os"
+	"slices"
 	"testing"
 	"time"
 )
@@ -29,7 +30,7 @@ func TestMemberLeaveFailsFast(t *testing.T) {
 	if nw.Stats().MemberFailures == 0 {
 		t.Fatal("member failures not counted")
 	}
-	if nw.Active(3) {
+	if nw.active[3] {
 		t.Fatal("node 3 still active after leave")
 	}
 }
@@ -39,8 +40,8 @@ func TestMemberLeaveFailsFast(t *testing.T) {
 func TestMemberRejoin(t *testing.T) {
 	nw := MustNew(3, 0, 1e9)
 	apply(t, nw, Transition{Src: 2, Dst: 2, Loss: -1, Member: MemberLeave})
-	if got := nw.ActiveNodes(); len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Fatalf("active = %v, want [0 1]", got)
+	if got := nw.active; !slices.Equal(got, []bool{true, true, false}) {
+		t.Fatalf("active = %v, want [true true false]", got)
 	}
 	apply(t, nw, Transition{Src: 2, Dst: 2, Loss: -1, Member: MemberJoin})
 	if _, err := nw.RingAllreduce(1 << 20); err != nil {

@@ -11,11 +11,14 @@
 package netsim
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"espresso/internal/obs"
 	"espresso/internal/sim"
+	"espresso/internal/splitmix"
 )
 
 // Network is a fully connected set of nodes.
@@ -32,7 +35,7 @@ type Network struct {
 	// (< 0 when unarmed) bounds each collective in absolute virtual time.
 	rec        Recovery
 	loss       float64
-	rng        rng64
+	rng        splitmix.Rand
 	timeline   []Transition
 	cursor     int
 	deadlineAt time.Duration
@@ -89,22 +92,6 @@ func (nw *Network) Snapshot() [][]float64 {
 // Nodes reports the node count.
 func (nw *Network) Nodes() int { return nw.n }
 
-// Active reports whether node is currently a member.
-func (nw *Network) Active(node int) bool {
-	return node >= 0 && node < nw.n && nw.active[node]
-}
-
-// ActiveNodes returns the current membership, ascending.
-func (nw *Network) ActiveNodes() []int {
-	out := make([]int, 0, nw.n)
-	for i, up := range nw.active {
-		if up {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // Restrict builds a fresh network over the surviving nodes: the link
 // bandwidth matrix is the current Snapshot sliced to survivors (ascending
 // original node indices, which become 0..len-1 in the new network), the
@@ -149,7 +136,7 @@ func (nw *Network) SetRecovery(r Recovery) { nw.rec = r.withDefaults() }
 
 // Seed seeds the private PRNG that decides message loss. Identical seeds
 // and plans produce bit-identical traffic.
-func (nw *Network) Seed(seed uint64) { nw.rng = rng64{s: seed} }
+func (nw *Network) Seed(seed uint64) { nw.rng = splitmix.Rand(seed) }
 
 // ArmDeadline bounds the next collectives: each aborts with a
 // *DeadlineError if it has not completed within budget of its start.
@@ -168,12 +155,8 @@ func (nw *Network) ArmDeadline(budget time.Duration) {
 // transfer; later ones apply as the clock crosses them. Programming
 // replaces any earlier timeline.
 func (nw *Network) Program(ts []Transition) error {
-	sorted := append([]Transition(nil), ts...)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j].At < sorted[j-1].At; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
+	sorted := slices.Clone(ts)
+	slices.SortStableFunc(sorted, func(a, b Transition) int { return cmp.Compare(a.At, b.At) })
 	for _, tr := range sorted {
 		if tr.Bps == 0 && tr.Loss < 0 && tr.Member == MemberNone {
 			return fmt.Errorf("netsim: transition at %v changes nothing", tr.At)
@@ -276,7 +259,7 @@ func (nw *Network) transmit(src, dst int, bytes int64, attempt int, done func())
 			nw.memberFail(src, dst, attempt)
 			return
 		}
-		if nw.loss > 0 && nw.rng.float64() < nw.loss {
+		if nw.loss > 0 && nw.rng.Float64() < nw.loss {
 			nw.stats.Dropped++
 			nw.stats.WastedBytes += bytes
 			if attempt >= nw.rec.MaxAttempts {

@@ -27,6 +27,7 @@ import (
 
 	"espresso/internal/obs"
 	"espresso/internal/obs/wtrace"
+	"espresso/internal/splitmix"
 )
 
 // Outcome classifies how a selection ended.
@@ -158,7 +159,7 @@ type Recorder struct {
 	total     atomic.Int64 // all-time completed count
 
 	mu     sync.Mutex
-	rng    uint64 // splitmix64 state for the reservoir
+	rng    uint64 // splitmix.Rand state for the reservoir; tests seed it as a uint64
 	ewmaUs float64
 	ids    uint64 // fallback IDs for untraced records
 
@@ -189,15 +190,6 @@ func New(cfg Config) *Recorder {
 		cfg.Metrics.Counter("flight.records")
 	}
 	return fr
-}
-
-// splitmix64 advances the reservoir RNG.
-func (fr *Recorder) next() uint64 {
-	fr.rng += 0x9e3779b97f4a7c15
-	z := fr.rng
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }
 
 // Observe classifies and admits one completed record. Safe on a nil
@@ -258,7 +250,7 @@ func (fr *Recorder) Observe(rec Record) {
 	// Seeded reservoir over all completions (Algorithm R).
 	if len(fr.sample) < cap(fr.sample) {
 		fr.sample = append(fr.sample, rec)
-	} else if k := int(fr.next() % uint64(n)); k < len(fr.sample) {
+	} else if k := (*splitmix.Rand)(&fr.rng).Intn(int(n)); k < len(fr.sample) {
 		fr.sample[k] = rec
 	}
 	fr.mu.Unlock()

@@ -592,7 +592,6 @@ func (c *caseRun) greedyBrute() error {
 	r := gen.New(c.seed ^ 0x6272757465) // "brute"
 	opts := append([]strategy.Option{strategy.NoCompression(cs.Cluster)},
 		sample(r, compressedOptions(cs), 4)...)
-	opts = dedupe(opts)
 
 	sel := core.NewSelector(cs.Model, cs.Cluster, cm)
 	sel.SetCandidates(opts)
@@ -745,13 +744,7 @@ func exhaustiveOffload(m *model.Model, cl *cluster.Cluster, cm *cost.Models, s *
 // compressedOptions is the GPU-compressed slice of the cluster's shape
 // enumeration.
 func compressedOptions(cs *gen.Case) []strategy.Option {
-	var out []strategy.Option
-	for _, o := range strategy.EnumerateGPU(cs.Cluster) {
-		if o.Compressed() {
-			out = append(out, o)
-		}
-	}
-	return out
+	return strategy.Filter(strategy.EnumerateGPU(cs.Cluster), strategy.Option.Compressed)
 }
 
 // sample returns up to n distinct-index draws from opts (all of opts when
@@ -773,18 +766,6 @@ func sample(r *gen.Rand, opts []strategy.Option, n int) []strategy.Option {
 	out := make([]strategy.Option, n)
 	for j, i := range idxs {
 		out[j] = opts[i]
-	}
-	return out
-}
-
-func dedupe(opts []strategy.Option) []strategy.Option {
-	seen := make(map[string]bool, len(opts))
-	out := opts[:0]
-	for _, o := range opts {
-		if k := o.Key(); !seen[k] {
-			seen[k] = true
-			out = append(out, o)
-		}
 	}
 	return out
 }

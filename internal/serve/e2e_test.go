@@ -602,6 +602,7 @@ func TestAuthAndErrorContract(t *testing.T) {
 		{"job without kind", "POST", "/v1/jobs", token, `{"seed":1}`, 400, client.CodeBadRequest, ""},
 		{"job unknown kind", "POST", "/v1/jobs", token, `{"kind":"mystery"}`, 400, client.CodeBadRequest, ""},
 		{"chaos job without plan", "POST", "/v1/jobs", token, `{"kind":"chaos"}`, 400, client.CodeBadRequest, ""},
+		{"chaos job on a self-link", "POST", "/v1/jobs", token, `{"kind":"chaos","plan":{"faults":[{"kind":"straggler","src":0,"dst":0,"scale":0.1}]}}`, 400, client.CodeBadRequest, ""},
 		{"verify job with plan", "POST", "/v1/jobs", token, `{"kind":"verify","plan":{}}`, 400, client.CodeBadRequest, ""},
 		{"method not allowed", "GET", "/v1/select", token, "", 405, client.CodeMethod, "POST"},
 		{"delete on reports", "DELETE", "/v1/reports", token, "", 405, client.CodeMethod, "GET"},

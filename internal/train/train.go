@@ -113,11 +113,12 @@ type Config struct {
 	// DisableErrorFeedback runs GC without error feedback (ablation).
 	DisableErrorFeedback bool
 
-	LR        float64
-	Batch     int // per-worker batch size
-	Iters     int
-	EvalEvery int
-	Seed      int64
+	LR    float64
+	Batch int // per-worker batch size
+	// Iters is the run length; the loss is evaluated every Iters/10
+	// iterations (at least every one) and after the last.
+	Iters int
+	Seed  int64
 }
 
 // Point is one evaluation of the training history.
@@ -149,12 +150,7 @@ func Run(m Model, ds *Dataset, cfg Config) (*History, error) {
 	if cfg.Batch <= 0 || cfg.Iters <= 0 || cfg.LR <= 0 {
 		return nil, fmt.Errorf("train: batch, iters, and lr must be positive")
 	}
-	if cfg.EvalEvery <= 0 {
-		cfg.EvalEvery = cfg.Iters / 10
-		if cfg.EvalEvery == 0 {
-			cfg.EvalEvery = 1
-		}
-	}
+	evalEvery := max(cfg.Iters/10, 1)
 	x, err := ddl.NewExecutor(cfg.Cluster, cfg.Spec)
 	if err != nil {
 		return nil, err
@@ -204,7 +200,7 @@ func Run(m Model, ds *Dataset, cfg Config) (*History, error) {
 				p.Data[j] -= scale * g
 			}
 		}
-		if (it+1)%cfg.EvalEvery == 0 || it == cfg.Iters-1 {
+		if (it+1)%evalEvery == 0 || it == cfg.Iters-1 {
 			hist.Points = append(hist.Points, Point{
 				Iter:     it + 1,
 				Loss:     m.Loss(ds),
