@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -236,6 +238,71 @@ func TestSelectBERTBase(t *testing.T) {
 		}
 		if bi := evalIter(t, m, c, cm, bs); rep.Iter > bi {
 			t.Errorf("Espresso %v slower than %v %v", rep.Iter, sys, bi)
+		}
+	}
+}
+
+// The big zoo models are too slow to run unbounded in tier-1, so what
+// their selections find, count and simulate at Parallelism 1 is pinned
+// instead, one selection each shared by the two tests below: a later drift
+// in strategy cost, in what counts as an evaluation or in the judged work
+// shows as a diff here.
+type bigModelPin struct {
+	m             *model.Model
+	c             *cluster.Cluster
+	spec          compress.Spec
+	evals, events int
+	iter          time.Duration
+	rep           *Report
+}
+
+func (pin *bigModelPin) String() string {
+	return fmt.Sprintf("%s/%s/%s", pin.m.Name, pin.c.Intra, pin.spec.ID)
+}
+
+var bigModelSelections = sync.OnceValues(func() ([]*bigModelPin, error) {
+	pins := []*bigModelPin{
+		{m: model.ResNet101(), c: cluster.NVLinkTestbed(8), spec: dgc(), evals: 85660, events: 12755665, iter: 180124831},
+		{m: model.ResNet101(), c: cluster.PCIeTestbed(8), spec: compress.Spec{ID: compress.EFSignSGD}, evals: 170730, events: 42550173, iter: 181310599},
+		{m: model.BERTBase(), c: cluster.NVLinkTestbed(8), spec: dgc(), evals: 70680, events: 13066642, iter: 84453428},
+		{m: model.BERTBase(), c: cluster.PCIeTestbed(8), spec: dgc(), evals: 137994, events: 76570240, iter: 182812762},
+		{m: model.VGG16(), c: cluster.NVLinkTestbed(8), spec: dgc(), evals: 17109, events: 833497, iter: 188319795},
+	}
+	for _, pin := range pins {
+		var err error
+		if _, pin.rep, err = NewSelector(pin.m, pin.c, cost.MustModels(pin.c, pin.spec)).Select(); err != nil {
+			return nil, fmt.Errorf("%v: %w", pin, err)
+		}
+	}
+	return pins, nil
+})
+
+func pinnedBigModels(t *testing.T) []*bigModelPin {
+	if testing.Short() {
+		t.Skip("selects ResNet101 and BERT-base: seconds")
+	}
+	t.Parallel()
+	pins, err := bigModelSelections()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pins
+}
+
+func TestBigModelSelectionsPinned(t *testing.T) {
+	for _, pin := range pinnedBigModels(t) {
+		if rep := pin.rep; rep.Evals != pin.evals || rep.Iter != pin.iter {
+			t.Errorf("%v: evals %d iter %d ns, pinned %d / %d ns", pin, rep.Evals, int64(rep.Iter), pin.evals, int64(pin.iter))
+		}
+	}
+}
+
+// What the pinned selections simulate at Parallelism 1, so judged work
+// that grows later shows as a diff here.
+func TestBigModelEventsPinned(t *testing.T) {
+	for _, pin := range pinnedBigModels(t) {
+		if pin.rep.events != pin.events {
+			t.Errorf("%v: %d events, pinned %d", pin, pin.rep.events, pin.events)
 		}
 	}
 }

@@ -19,16 +19,16 @@ func TestTracedSelectPhaseTree(t *testing.T) {
 	m := commBound()
 	cm := cost.MustModels(c, dgc())
 
-	tr := wtrace.New()
-	req := tr.Start("select")
-	start := time.Now()
+	// The request starts after NewSelector, whose setup no span covers:
+	// elapsed is the request's own clock, which the phases must tile.
 	sel := NewSelector(m, c, cm)
+	req := wtrace.New().Start("select")
 	sel.Trace = req
 	_, rep, err := sel.Select()
 	if err != nil {
 		t.Fatal(err)
 	}
-	elapsed := time.Since(start)
+	elapsed := req.Now()
 	spans := req.Spans()
 	req.Release()
 
@@ -67,8 +67,7 @@ func TestTracedSelectPhaseTree(t *testing.T) {
 	}
 	// The phases must cover nearly all of the selection; the instrumented
 	// Select leaves only nanoseconds between top-level spans. The floor
-	// is deliberately loose (90%) to stay robust on noisy CI machines
-	// measuring elapsed from just outside the request.
+	// is deliberately loose (90%) to stay robust on noisy CI machines.
 	if float64(sum) < 0.9*float64(elapsed) {
 		t.Errorf("phases cover %v of %v (%.1f%%), want >= 90%%",
 			sum, elapsed, 100*float64(sum)/float64(elapsed))

@@ -8,9 +8,11 @@ import (
 // A small harness run inside go test: every differential check must
 // hold on the first batch of generated cases, so a regression in the
 // engine, selector, or oracle fails `go test ./...` even before the CI
-// gate runs cmd/espresso-verify at full depth.
+// gate runs cmd/espresso-verify at full depth. Every third case checks
+// Algorithm 2 against exhaustive enumeration (offload-exact): 100 here.
 func TestHarnessSmoke(t *testing.T) {
-	sum, err := Run(Config{Cases: 25, Seed: 1})
+	const cases = 300
+	sum, err := Run(Config{Cases: cases, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,14 +22,14 @@ func TestHarnessSmoke(t *testing.T) {
 		}
 		t.Fatalf("%d differential failures in %d cases", len(sum.Failures), sum.Cases)
 	}
-	if sum.Cases != 25 {
-		t.Fatalf("ran %d cases, want 25", sum.Cases)
+	if sum.Cases != cases {
+		t.Fatalf("ran %d cases, want %d", sum.Cases, cases)
 	}
 	// Every check family must actually have fired: a harness that
 	// silently skips its assertions would pass vacuously.
 	for _, check := range []string{"single-chain", "select-fp32", "select-allcomp", "select-baselines", "bracket", "engine-bound", "engine-fork", "engine-memo", "beta-scaling", "add-tensor", "greedy-brute", "offload-exact"} {
 		if sum.Checks[check] == 0 {
-			t.Errorf("check %q never ran in 25 cases", check)
+			t.Errorf("check %q never ran in %d cases", check, cases)
 		}
 	}
 }
