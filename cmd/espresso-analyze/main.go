@@ -23,7 +23,6 @@ import (
 	"espresso/internal/logx"
 	"espresso/internal/obs"
 	"espresso/internal/obs/analyze"
-	"espresso/internal/par"
 	"espresso/internal/strategy"
 	"espresso/internal/timeline"
 )
@@ -36,14 +35,13 @@ func main() {
 	var (
 		traceF   = flag.String("trace", "", "analyze a Chrome trace-event JSON file instead of running a job")
 		system   = flag.String("system", "espresso", "espresso|fp32|hipress|hitopkcomm|bytepscompress")
-		parallel = flag.Int("parallel", 0, "strategy-search workers (0 = one per CPU)")
-		explain  = flag.Bool("explain", false, "print the selector's per-tensor decision log (espresso system only)")
 		topN     = flag.Int("top", 8, "critical-path segments to list")
 		rank     = flag.Int("rank", -1, "rank to walk the critical path on (-1 = the rank owning the last span)")
 		analysis = flag.String("analysis-out", "", "write the machine-readable profile JSON here")
 		traceOut = flag.String("trace-out", "", "also write the derived timeline as Chrome trace-event JSON (job mode only)")
 	)
-	jf := jobspec.Flags{Model: "resnet101", Cluster: "nvlink", Machines: 8, Algo: "dgc", Ratio: 0.01}
+	jf := jobspec.Flags{Model: "resnet101", Cluster: "nvlink", Machines: 8, Algo: "dgc", Ratio: 0.01,
+		ParallelFlag: true, ExplainFlag: true}
 	jf.Register(nil)
 	log = logx.ParseFlags()
 
@@ -72,8 +70,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		job.Parallelism = par.Workers(*parallel)
-		job.Explain = *explain
 		r, err := job.Resolve()
 		if err != nil {
 			fatal(err)

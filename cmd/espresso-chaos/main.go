@@ -35,7 +35,6 @@ import (
 	"espresso/internal/jobspec"
 	"espresso/internal/logx"
 	"espresso/internal/model"
-	"espresso/internal/par"
 	"espresso/internal/strategy"
 )
 
@@ -52,7 +51,6 @@ var log *slog.Logger
 func main() {
 	var (
 		severities = flag.String("severities", "1,2,4,8,16", "comma-separated straggler severities (inter bandwidth divisors)")
-		parallel   = flag.Int("parallel", 0, "strategy-search workers (0 = one per CPU)")
 		jsonOut    = flag.String("json-out", "", "write the sweep rows as JSON")
 		planF      = flag.String("plan", "", "fault-injection plan JSON; runs iterations against the faulted network instead of sweeping severities")
 		iters      = flag.Int("iters", 8, "iterations to run in plan mode")
@@ -60,7 +58,7 @@ func main() {
 		determin   = flag.Bool("deterministic", false, "zero wall-clock fields in the report so same-seed reruns are byte-identical")
 		policyF    = flag.String("policy", "", "override the plan's degradation policy (reselect, continue-degraded, abort-after-n-failures)")
 	)
-	jf := jobspec.Flags{Model: "lstm", Cluster: "nvlink", Machines: 4, Algo: "dgc", Ratio: 0.01}
+	jf := jobspec.Flags{Model: "lstm", Cluster: "nvlink", Machines: 4, Algo: "dgc", Ratio: 0.01, ParallelFlag: true}
 	jf.Register(nil)
 	log = logx.ParseFlags()
 
@@ -68,7 +66,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	job.Parallelism = par.Workers(*parallel)
 	r, err := job.Resolve()
 	if err != nil {
 		fatal(err)
@@ -83,7 +80,7 @@ func main() {
 	fmt.Printf("healthy strategy: iteration %v, shape %s\n\n", rep.Iter, chaos.ShapeOf(healthy))
 
 	if *planF != "" {
-		runPlan(m, c, spec, healthy, *planF, *iters, *reportF, *determin, *policyF, par.Workers(*parallel))
+		runPlan(m, c, spec, healthy, *planF, *iters, *reportF, *determin, *policyF, job.Parallelism)
 		return
 	}
 
@@ -97,7 +94,7 @@ func main() {
 		}
 		_, rs, err := chaos.Reselect(m, c, spec, healthy, chaos.ReselectOptions{
 			InterScale:  1 / sev,
-			Parallelism: par.Workers(*parallel),
+			Parallelism: job.Parallelism,
 		})
 		if err != nil {
 			fatal(err)

@@ -23,7 +23,6 @@ import (
 	"espresso/internal/netsim"
 	"espresso/internal/obs"
 	"espresso/internal/obs/analyze"
-	"espresso/internal/par"
 	"espresso/internal/serve"
 	"espresso/internal/timeline"
 )
@@ -38,17 +37,16 @@ func main() {
 		iters      = flag.Int("iters", 2, "iterations to execute on the data plane")
 		scale      = flag.Int("scale", 4096, "elements per simulated tensor on the data plane")
 		gantt      = flag.Bool("gantt", true, "print the derived timeline")
-		parallel   = flag.Int("parallel", 1, "strategy-search workers (0 = one per CPU); the selected strategy is identical at any setting")
 		traceOut   = flag.String("trace-out", "", "write a Chrome trace-event JSON file of the derived timeline")
 		metrOut    = flag.String("metrics-out", "", "write a metrics-registry JSON file")
-		explain    = flag.Bool("explain", false, "print the selector's per-tensor decision log (espresso system only)")
 		analyzeOut = flag.String("analyze-out", "", "write an iteration-profile JSON (critical path, device stats, phase breakdown)")
 		chaosF     = flag.String("chaos", "", "fault-injection plan JSON; iterations run against the faulted network with retry/timeout recovery")
 		chaosOut   = flag.String("chaos-report", "", "write the chaos run report JSON (requires -chaos)")
 		chaosDet   = flag.Bool("deterministic", false, "zero wall-clock fields in the chaos report so same-seed reruns are byte-identical")
 		listen     = flag.String("listen", "", "serve /metrics, /healthz, and /debug/pprof on this address during the run (e.g. 127.0.0.1:9090)")
 	)
-	jf := jobspec.Flags{Model: "lstm", Cluster: "nvlink", Machines: 2, GPUs: 2, Algo: "dgc", Ratio: 0.01, JobFlag: true}
+	jf := jobspec.Flags{Model: "lstm", Cluster: "nvlink", Machines: 2, GPUs: 2, Algo: "dgc", Ratio: 0.01,
+		JobFlag: true, ParallelFlag: true, Parallel: 1, ExplainFlag: true}
 	jf.Register(nil)
 	flag.Lookup("gpus").Usage = "GPUs per machine (kept small: the data plane moves real bytes)"
 	flag.Lookup("job").Usage = "job-description JSON (overrides -model/-cluster/-machines/-gpus/-algo/-ratio)"
@@ -58,8 +56,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	job.Parallelism = par.Workers(*parallel)
-	job.Explain = job.Explain || *explain
 	r, err := job.Resolve()
 	if err != nil {
 		fatal(err)
@@ -139,8 +135,7 @@ func main() {
 		if runner, err = chaos.NewRunner(m, c, spec, s, plan); err != nil {
 			fatal(err)
 		}
-		runner.Parallelism = par.Workers(*parallel)
-		runner.Explain = *explain
+		runner.Parallelism, runner.Explain = job.Parallelism, job.Explain
 		runner.Trace = trace
 		runner.Metrics = metrics
 		runner.Deterministic = *chaosDet

@@ -117,9 +117,12 @@ func TestElasticLeaveRejoinEndToEnd(t *testing.T) {
 
 // A seeded elastic plan is deterministic: byte-identical reports across
 // reruns and search parallelism levels (Deterministic zeroes the
-// re-selection wall clock).
+// re-selection wall clock). The plan also drops messages, so every
+// network generation's loss stream, the shrunken one's included, is
+// part of the report.
 func TestElasticDeterministicAcrossRunsAndParallelism(t *testing.T) {
 	plan := elasticPlan(t, 11, ReconfigConfig{})
+	plan.Faults = append(plan.Faults, Fault{Kind: Loss, Rate: 0.05})
 	run := func(parallelism int) []byte {
 		r := newRunner(t, plan)
 		r.Parallelism = parallelism
@@ -134,12 +137,24 @@ func TestElasticDeterministicAcrossRunsAndParallelism(t *testing.T) {
 		}
 		return data
 	}
-	a, b, c := run(1), run(1), run(8)
+	a, b, c := run(1), run(1), run(2)
 	if string(a) != string(b) {
 		t.Fatalf("same seed diverged across reruns:\n%s\n%s", a, b)
 	}
 	if string(a) != string(c) {
 		t.Fatalf("parallelism changed the report:\n%s\n%s", a, c)
+	}
+	var rep Report
+	if err := json.Unmarshal(a, &rep); err != nil {
+		t.Fatal(err)
+	}
+	drops := map[int]int64{} // machines -> drops
+	for _, s := range rep.Samples {
+		drops[s.Members] += s.Drops
+	}
+	if len(rep.Membership) != 2 || drops[3] == 0 || drops[4] == 0 {
+		t.Fatalf("want drops on both topologies across 2 membership events, got %v over %d events",
+			drops, len(rep.Membership))
 	}
 }
 

@@ -39,7 +39,7 @@ func FuzzParsePlan(f *testing.F) {
 		p.DeviceScalesAt(time.Millisecond)
 		p.CorruptRate(time.Millisecond)
 		p.HasMembershipFaults()
-		// Lowering must never panic either; errors are fine.
-		_, _ = p.Transitions(4, 1e9)
+		// Lowering must never panic either.
+		p.transitionsFor([]int{0, 1, 2, 3}, 1e9)
 	})
 }

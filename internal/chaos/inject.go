@@ -1,59 +1,26 @@
 package chaos
 
 import (
-	"fmt"
 	"time"
 
 	"espresso/internal/netsim"
 )
 
-// Transitions lowers the plan's link and membership faults into a netsim
-// transition timeline for an n-node network whose healthy link bandwidth
-// is baseBps. Straggler and flap faults degrade to baseBps*Scale and
-// restore to baseBps at their window boundaries; loss faults set and
-// clear the loss rate; leave/join faults become membership transitions.
+// transitionsFor lowers the plan's link and membership faults into a
+// netsim transition timeline for a network whose node i hosts global
+// rank ranks[i] and whose healthy link bandwidth is base. Straggler
+// and flap faults degrade to base*Scale and restore to base at
+// their window boundaries; loss faults set and clear the loss rate;
+// leave/join events become Member transitions, so a mid-iteration
+// departure fails in-flight messages fast. Faults naming a rank absent
+// from ranks are dropped (a departed rank's links do not exist on the
+// survivors' network, and NewRunner has range-checked the plan against
+// the full topology); global faults (src -1) and loss always apply.
 // Overlapping faults on the same link resolve last-transition-wins
-// (netsim applies transitions in time order). Faults naming a rank
-// outside [0, n) are an error.
-func (p *Plan) Transitions(n int, baseBps float64) ([]netsim.Transition, error) {
-	for i := range p.Faults {
-		f := &p.Faults[i]
-		switch f.Kind {
-		case Straggler, Flap:
-			if f.Src >= 0 && (f.Src >= n || f.Dst < 0 || f.Dst >= n) {
-				return nil, fmt.Errorf("chaos: link %d->%d out of range for %d nodes", f.Src, f.Dst, n)
-			}
-		case Leave, Join:
-			if f.Rank >= n {
-				return nil, fmt.Errorf("chaos: membership rank %d out of range for %d nodes", f.Rank, n)
-			}
-		}
-	}
-	ranks := make([]int, n)
-	for i := range ranks {
-		ranks[i] = i
-	}
-	return p.transitionsFor(ranks, baseBps)
-}
-
-// transitionsFor lowers the plan for a network whose node i hosts global
-// rank ranks[i] — the remapping the elastic Runner needs after a
-// Restrict, where the surviving network's indices no longer match the
-// plan's rank numbers. Faults naming a rank absent from the mapping are
-// dropped (a departed rank's links do not exist on the restricted
-// network, and the full-topology Arm has already range-checked the
-// plan); global faults (src -1) and loss always apply. Leave/join
-// events for mapped ranks lower to Member transitions, so a
-// mid-iteration departure fails in-flight messages fast.
-func (p *Plan) transitionsFor(ranks []int, baseBps float64) ([]netsim.Transition, error) {
-	if baseBps <= 0 {
-		return nil, fmt.Errorf("chaos: baseline bandwidth %g B/s, want > 0", baseBps)
-	}
+// (netsim applies transitions in time order).
+func (p *Plan) transitionsFor(ranks []int, base float64) []netsim.Transition {
 	node := make(map[int]int, len(ranks)) // global rank -> network index
 	for i, r := range ranks {
-		if _, dup := node[r]; dup || r < 0 {
-			return nil, fmt.Errorf("chaos: bad rank mapping %v", ranks)
-		}
 		node[r] = i
 	}
 	// link maps a fault's rank-space endpoints onto network indices;
@@ -74,31 +41,31 @@ func (p *Plan) transitionsFor(ranks []int, baseBps float64) ([]netsim.Transition
 		f := &p.Faults[i]
 		switch f.Kind {
 		case Straggler:
-			deg, ok := link(f, f.Start.D(), baseBps*f.Scale)
+			deg, ok := link(f, f.Start.D(), base*f.Scale)
 			if !ok {
 				continue
 			}
 			ts = append(ts, deg)
 			if f.Duration > 0 {
-				rst, _ := link(f, f.Start.D()+f.Duration.D(), baseBps)
+				rst, _ := link(f, f.Start.D()+f.Duration.D(), base)
 				ts = append(ts, rst)
 			}
 		case Flap:
-			if _, ok := link(f, f.Start.D(), baseBps); !ok {
+			if _, ok := link(f, f.Start.D(), base); !ok {
 				continue
 			}
 			end := f.Start.D() + f.Duration.D()
 			degraded := false
 			for at := f.Start.D(); at < end; at += f.Period.D() {
-				bps := baseBps * f.Scale
+				bps := base * f.Scale
 				if degraded {
-					bps = baseBps
+					bps = base
 				}
 				degraded = !degraded
 				tr, _ := link(f, at, bps)
 				ts = append(ts, tr)
 			}
-			rst, _ := link(f, end, baseBps)
+			rst, _ := link(f, end, base)
 			ts = append(ts, rst)
 		case Loss:
 			ts = append(ts, netsim.Transition{At: f.Start.D(), Src: -1, Dst: -1, Loss: f.Rate})
@@ -117,22 +84,5 @@ func (p *Plan) transitionsFor(ranks []int, baseBps float64) ([]netsim.Transition
 			ts = append(ts, netsim.Transition{At: f.Start.D(), Src: idx, Dst: idx, Loss: -1, Member: member})
 		}
 	}
-	return ts, nil
-}
-
-// Arm installs the plan on a network: seeds the loss PRNG, sets the
-// retransmission policy, and programs the link-fault timeline against
-// the network's current (healthy) uniform bandwidth.
-func (p *Plan) Arm(nw *netsim.Network) error {
-	nw.Seed(p.Seed)
-	nw.SetRecovery(p.Retry.Recovery())
-	if nw.Nodes() < 2 {
-		return nil // no links to fault
-	}
-	base := nw.Snapshot()[0][1]
-	ts, err := p.Transitions(nw.Nodes(), base)
-	if err != nil {
-		return err
-	}
-	return nw.Program(ts)
+	return ts
 }

@@ -18,10 +18,8 @@ import (
 	"slices"
 	"time"
 
-	"espresso/internal/cost"
 	"espresso/internal/netsim"
 	"espresso/internal/obs/flight"
-	"espresso/internal/splitmix"
 )
 
 // Detection labels how a membership change was noticed.
@@ -120,12 +118,11 @@ func (r *Runner) classifyMembershipFailure(err error) (string, bool) {
 }
 
 // reconfigure executes the reconfiguration protocol at virtual time at:
-// recompute the scheduled membership, rebuild the network on the
-// survivors (Restrict on a pure shrink, fresh on a rejoin), replay the
-// remapped fault timeline up to now, run the quiesce barrier, swap the
-// runner's topology state, apply the degradation policy, and record the
-// MembershipEvent. cause is the triggering error (nil for an orderly
-// boundary detection).
+// recompute the scheduled membership, build the next generation's
+// topology on the survivors and idle its network to now, run the quiesce
+// barrier, swap the runner's topology state, apply the degradation
+// policy, and record the MembershipEvent. cause is the triggering error
+// (nil for an orderly boundary detection).
 func (r *Runner) reconfigure(it int, at time.Duration, detected string, cause error) error {
 	want, err := r.Plan.MembersAt(at, r.C.Machines)
 	if err != nil {
@@ -138,37 +135,8 @@ func (r *Runner) reconfigure(it int, at time.Duration, detected string, cause er
 	left, joined := diffMembers(r.members, want)
 
 	gen := r.generation + 1
-	var nw2 *netsim.Network
-	if len(joined) == 0 {
-		// Pure shrink: restrict the live network over the survivors'
-		// current positions, carrying link state and the loss stream.
-		pos := make([]int, 0, len(survivors))
-		for i, rank := range r.rankMap {
-			if want[rank] {
-				pos = append(pos, i)
-			}
-		}
-		if nw2, err = r.nw.Restrict(pos); err != nil {
-			return err
-		}
-	} else {
-		// A rejoin needs links the old network does not have: build
-		// fresh, with a generation-mixed seed so the loss stream stays
-		// deterministic but independent of the retired network's.
-		if nw2, err = netsim.New(len(survivors), r.C.InterLatency, r.C.InterBandwidth); err != nil {
-			return err
-		}
-		nw2.Seed(splitmix.Nth(r.Plan.Seed, uint64(gen)))
-	}
-	nw2.SetRecovery(r.Plan.Retry.Recovery())
-	// Re-lower the plan for the survivor mapping and replay it to now:
-	// transitions carry absolute values, so the link matrix converges to
-	// the correct current state regardless of the starting matrix.
-	ts, err := r.Plan.transitionsFor(survivors, r.baseBps)
+	nw2, curC, cm, err := r.topology(gen, survivors)
 	if err != nil {
-		return err
-	}
-	if err := nw2.Program(ts); err != nil {
 		return err
 	}
 	nw2.Idle(at)
@@ -178,19 +146,10 @@ func (r *Runner) reconfigure(it int, at time.Duration, detected string, cause er
 		return err
 	}
 
-	// Swap topology state: retire the old network's counters, rebuild the
-	// cluster description and cost models for the surviving machine set.
+	// Swap topology state, retiring the old network's counters.
 	r.netBase = r.netBase.Add(r.nw.Stats())
-	curC, err := r.C.WithMachines(len(survivors))
-	if err != nil {
-		return err
-	}
-	cm, err := cost.NewModels(curC, r.Spec)
-	if err != nil {
-		return err
-	}
 	r.nw, r.curC, r.cm = nw2, curC, cm
-	r.members, r.rankMap, r.generation = want, survivors, gen
+	r.members, r.generation = want, gen
 	r.prevStats = nw2.Stats()
 	r.clock = nw2.Now()
 	r.monitor.Reset()

@@ -12,9 +12,12 @@
 package chaos
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 	"strconv"
@@ -124,7 +127,7 @@ func (f *Fault) UnmarshalJSON(data []byte) error {
 		Duration *Duration `json:"duration"`
 		*alias
 	}{alias: (*alias)(f)}
-	if err := json.Unmarshal(data, &aux); err != nil {
+	if err := decodeStrict(data, &aux); err != nil {
 		return err
 	}
 	if aux.Duration != nil {
@@ -290,16 +293,32 @@ func Load(path string) (*Plan, error) {
 	return Parse(data)
 }
 
-// Parse unmarshals and validates plan JSON.
+// Parse unmarshals and validates plan JSON. Decoding is strict: an
+// unknown field, at any depth, or trailing data is an error, never a
+// silently dropped setting.
 func Parse(data []byte) (*Plan, error) {
 	var p Plan
-	if err := json.Unmarshal(data, &p); err != nil {
+	if err := decodeStrict(data, &p); err != nil {
 		return nil, fmt.Errorf("chaos: parsing plan: %w", err)
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	return &p, nil
+}
+
+// decodeStrict unmarshals one JSON value, refusing unknown fields and
+// trailing data. A Fault decodes its own object, so it calls this too.
+func decodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
 }
 
 // Validate checks every fault's parameters, then the schedule as a

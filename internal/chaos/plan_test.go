@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"espresso/internal/cluster"
 	"espresso/internal/netsim"
+	"espresso/internal/strategy"
 )
 
 func TestParseAcceptsStringsAndNanoseconds(t *testing.T) {
@@ -33,6 +35,25 @@ func TestParseAcceptsStringsAndNanoseconds(t *testing.T) {
 	}
 	if len(p.Faults) != 5 || p.Faults[0].Start.D() != 20*time.Millisecond {
 		t.Fatalf("faults mis-parsed: %+v", p.Faults)
+	}
+}
+
+// A misspelled field is an error wherever it sits, not a setting
+// silently left at its default; so is a second value after the plan.
+func TestParseRejectsUnknownFields(t *testing.T) {
+	for _, tc := range []struct{ plan, want string }{
+		{`{"seed": 1, "deadlin": "2s", "faults": []}`, `unknown field "deadlin"`},
+		{`{"retry": {"max_attempt": 8}, "faults": []}`, `unknown field "max_attempt"`},
+		{`{"monitor": {"factr": 2}, "faults": []}`, `unknown field "factr"`},
+		{`{"reconfig": {"polcy": "reselect"}, "faults": []}`, `unknown field "polcy"`},
+		{`{"faults": [{"kind": "straggler", "src": -1, "scale": 0.5, "strat": "1s"}]}`, `unknown field "strat"`},
+		{`{"faults": [{"kind": "loss", "rate": 0.1, "duraton": "1s"}]}`, `unknown field "duraton"`},
+		{`{"faults": []} {"faults": []}`, "trailing data"},
+		{`{"faults": []}}`, "trailing data"},
+	} {
+		if _, err := Parse([]byte(tc.plan)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("plan %s: got %v, want an error containing %q", tc.plan, err, tc.want)
+		}
 	}
 }
 
@@ -183,14 +204,14 @@ func TestTransitionsLowering(t *testing.T) {
 		{Kind: Straggler, Src: 0, Dst: 1, Scale: 0.25, Start: ms, Duration: 2 * ms},
 		{Kind: Flap, Src: -1, Scale: 0.5, Start: 0, Duration: 4 * ms, Period: ms},
 		{Kind: Loss, Rate: 0.1, Start: ms, Duration: ms},
+		{Kind: Straggler, Src: 2, Dst: 3, Scale: 0.5, Start: 6 * ms},
+		{Kind: Leave, Rank: 1, Start: 8 * ms},
 	}}
-	ts, err := p.Transitions(4, 1e9)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts := p.transitionsFor([]int{0, 1, 2, 3}, 1e9)
 	// Straggler: degrade + restore. Flap: 4 toggles + final restore.
-	// Loss: set + clear. Total 2 + 5 + 2 = 9.
-	if len(ts) != 9 {
+	// Loss: set + clear. Sustained straggler: degrade. Leave: one
+	// member transition. Total 2 + 5 + 2 + 1 + 1 = 11.
+	if len(ts) != 11 {
 		t.Fatalf("got %d transitions: %+v", len(ts), ts)
 	}
 	if ts[0].Bps != 0.25e9 || ts[1].Bps != 1e9 {
@@ -202,26 +223,56 @@ func TestTransitionsLowering(t *testing.T) {
 	if ts[7].Loss != 0.1 || ts[8].Loss != 0 {
 		t.Fatalf("loss lowering wrong: %+v %+v", ts[7], ts[8])
 	}
+	if ts[10].Member != netsim.MemberLeave || ts[10].Src != 1 {
+		t.Fatalf("leave lowering wrong: %+v", ts[10])
+	}
 
-	// Out-of-range links are rejected.
-	bad := &Plan{Faults: []Fault{{Kind: Straggler, Src: 0, Dst: 9, Scale: 0.5}}}
-	if _, err := bad.Transitions(4, 1e9); err == nil || !strings.Contains(err.Error(), "out of range") {
-		t.Fatalf("out-of-range link accepted: %v", err)
+	// Without rank 1 the survivors renumber: link 2->3 lands on network
+	// link 1->2, and the faults naming rank 1 are dropped. Global faults
+	// and loss still apply.
+	ts = p.transitionsFor([]int{0, 2, 3}, 1e9)
+	if len(ts) != 8 {
+		t.Fatalf("survivors {0, 2, 3}: got %d transitions: %+v", len(ts), ts)
+	}
+	if tr := ts[7]; tr.Src != 1 || tr.Dst != 2 || tr.Bps != 0.5e9 {
+		t.Fatalf("remapped straggler wrong: %+v", tr)
+	}
+
+	// NewRunner, which knows the full topology, rejects a fault naming
+	// a machine outside it.
+	for _, f := range []Fault{
+		{Kind: Straggler, Src: 0, Dst: 9, Scale: 0.5},
+		{Kind: Leave, Rank: 4},
+	} {
+		_, err := NewRunner(commBound(), cluster.NVLinkTestbed(4), dgc(), &strategy.Strategy{}, &Plan{Faults: []Fault{f}})
+		if err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("%+v: got %v, want an out-of-range error", f, err)
+		}
 	}
 }
 
-func TestArmProgramsNetwork(t *testing.T) {
-	nw := netsim.MustNew(4, 0, 1e9)
-	p := &Plan{Seed: 9, Faults: []Fault{
-		{Kind: Straggler, Src: -1, Scale: 0.5, Start: 0},
-	}}
-	if err := p.Arm(nw); err != nil {
+// A straggler on every link degrades the network of the first
+// iteration: its links run at the scaled bandwidth and its replay is
+// slower than a healthy run's.
+func TestNewRunnerProgramsNetwork(t *testing.T) {
+	healthy, err := newRunner(t, &Plan{Seed: 9}).RunIteration(0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// The transition applies lazily once time advances.
-	nw.Idle(time.Microsecond)
-	if got := nw.Snapshot()[0][1]; got != 0.5e9 {
-		t.Fatalf("straggler not applied: link at %g", got)
+	r := newRunner(t, &Plan{Seed: 9, Faults: []Fault{{Kind: Straggler, Src: -1, Scale: 0.5}}})
+	s, err := r.RunIteration(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range r.nw.Snapshot() {
+		for j, bps := range row {
+			if want := 0.5 * r.C.InterBandwidth; bps != want {
+				t.Fatalf("link %d->%d at %g, want %g", i, j, bps, want)
+			}
+		}
+	}
+	if s.Comm <= healthy.Comm {
+		t.Fatalf("degraded comm %v, healthy %v", s.Comm, healthy.Comm)
 	}
 }
 

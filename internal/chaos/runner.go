@@ -73,15 +73,12 @@ type Runner struct {
 	nw      *netsim.Network
 	cm      *cost.Models
 	monitor *Monitor
-	baseBps float64
 
 	// Elastic-membership state: curC is the cluster restricted to the
 	// surviving machines, members is the full-rank membership vector,
-	// rankMap maps the current network's node i to its global rank,
 	// netBase accumulates retired networks' fault statistics.
 	curC       *cluster.Cluster
 	members    []bool
-	rankMap    []int
 	generation int
 	failures   int
 	netBase    netsim.FaultStats
@@ -97,42 +94,78 @@ type Runner struct {
 	report  *Report
 }
 
-// NewRunner builds a runner: a fresh message-level network shaped like
-// the cluster's inter-machine fabric, armed with the plan's faults and
-// retry policy.
+// NewRunner builds a runner on membership generation 0: every machine
+// present, on what topology builds for them. A fault naming a machine
+// outside the cluster is an error.
 func NewRunner(m *model.Model, c *cluster.Cluster, spec compress.Spec, s *strategy.Strategy, plan *Plan) (*Runner, error) {
 	if s == nil {
 		return nil, fmt.Errorf("chaos: nil strategy")
 	}
-	nw, err := netsim.New(c.Machines, c.InterLatency, c.InterBandwidth)
-	if err != nil {
-		return nil, err
+	n := c.Machines
+	for i := range plan.Faults {
+		switch f := &plan.Faults[i]; f.Kind {
+		case Straggler, Flap:
+			if f.Src >= 0 && (f.Src >= n || f.Dst < 0 || f.Dst >= n) {
+				return nil, fmt.Errorf("chaos: link %d->%d out of range for %d machines", f.Src, f.Dst, n)
+			}
+		case Leave, Join:
+			if f.Rank >= n {
+				return nil, fmt.Errorf("chaos: membership rank %d out of range for %d machines", f.Rank, n)
+			}
+		}
 	}
-	if err := plan.Arm(nw); err != nil {
-		return nil, err
-	}
-	cm, err := cost.NewModels(c, spec)
-	if err != nil {
-		return nil, err
-	}
-	members := make([]bool, c.Machines)
-	rankMap := make([]int, c.Machines)
+	members := make([]bool, n)
 	for i := range members {
 		members[i] = true
-		rankMap[i] = i
 	}
-	return &Runner{
+	r := &Runner{
 		M: m, C: c, Spec: spec, Plan: plan, Strategy: s,
 		// The plan's per-iteration deadline also bounds the Explain
 		// re-probe during re-selection, so the decision log cannot run
 		// unbounded on a topology slow enough to have tripped the monitor.
 		ProbeDeadline: plan.Deadline.D(),
-		nw:            nw, cm: cm, monitor: NewMonitor(plan.Monitor),
-		baseBps: c.InterBandwidth,
-		curC:    c, members: members, rankMap: rankMap,
-		wireRNG: splitmix.Rand(plan.Seed ^ 0xc0ffee),
-		report:  &Report{Plan: plan},
-	}, nil
+		monitor:       NewMonitor(plan.Monitor),
+		members:       members,
+		wireRNG:       splitmix.Rand(plan.Seed ^ 0xc0ffee),
+		report:        &Report{Plan: plan},
+	}
+	var err error
+	if r.nw, r.curC, r.cm, err = r.topology(0, ranksOf(members)); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// topology builds what membership generation gen runs on, for the
+// machines ranks: a fresh network over them, its loss stream seeded with
+// the plan seed (generation 0) or that seed's gen-th draw, armed with the
+// plan's retry policy and its fault timeline lowered for ranks; and the
+// cluster and cost models of len(ranks) machines. The timeline holds
+// absolute values, so once the network idles to the present its links
+// are in the state the plan prescribes.
+func (r *Runner) topology(gen int, ranks []int) (*netsim.Network, *cluster.Cluster, *cost.Models, error) {
+	nw, err := netsim.New(len(ranks), r.C.InterLatency, r.C.InterBandwidth)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	seed := r.Plan.Seed
+	if gen > 0 {
+		seed = splitmix.Nth(seed, uint64(gen))
+	}
+	nw.Seed(seed)
+	nw.SetRecovery(r.Plan.Retry.Recovery())
+	if err := nw.Program(r.Plan.transitionsFor(ranks, r.C.InterBandwidth)); err != nil {
+		return nil, nil, nil, err
+	}
+	c, err := r.C.WithMachines(len(ranks))
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	cm, err := cost.NewModels(c, r.Spec)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return nw, c, cm, nil
 }
 
 // ActiveCluster is the cluster restricted to the current membership —
@@ -377,7 +410,7 @@ func (r *Runner) runIterationOnce(it int) (IterationSample, error) {
 func (r *Runner) reselect(it int, t time.Duration, fl *flight.Recorder) (*Reselection, error) {
 	gpuS, cpuS := r.Plan.DeviceScalesAt(t)
 	next, rs, err := Reselect(r.M, r.curC, r.Spec, r.Strategy, ReselectOptions{
-		InterScale: bottleneckScale(r.nw.Snapshot(), r.baseBps),
+		InterScale: bottleneckScale(r.nw.Snapshot(), r.C.InterBandwidth),
 		GPUScale:   gpuS, CPUScale: cpuS,
 		Parallelism: r.Parallelism, Explain: r.Explain,
 		ProbeDeadline: r.ProbeDeadline,

@@ -1,6 +1,10 @@
 package jobspec
 
-import "flag"
+import (
+	"flag"
+
+	"espresso/internal/par"
+)
 
 // Flags binds a Job to a CLI's -model/-cluster/-machines/-gpus/-algo/
 // -ratio flags and, when JobFlag is set, -job. A command fills in its own
@@ -17,7 +21,15 @@ type Flags struct {
 	JobFlag bool
 	File    string
 
-	fs *flag.FlagSet
+	// ParallelFlag also registers -parallel (search workers, 0 = one per
+	// CPU), with Parallel as its default and receiving its value;
+	// ExplainFlag also registers -explain.
+	ParallelFlag bool
+	Parallel     int
+	ExplainFlag  bool
+
+	explain bool
+	fs      *flag.FlagSet
 }
 
 // Register installs the job flags on fs (the default FlagSet when fs is
@@ -35,6 +47,12 @@ func (f *Flags) Register(fs *flag.FlagSet) {
 	fs.Float64Var(&f.Ratio, "ratio", f.Ratio, "sparsifier ratio")
 	if f.JobFlag {
 		fs.StringVar(&f.File, "job", "", "JSON job file with model/cluster/algorithm specs")
+	}
+	if f.ParallelFlag {
+		fs.IntVar(&f.Parallel, "parallel", f.Parallel, "strategy-search workers (0 = one per CPU); the selected strategy is identical at any setting")
+	}
+	if f.ExplainFlag {
+		fs.BoolVar(&f.explain, "explain", false, "print the selector's per-tensor decision log (espresso system only)")
 	}
 }
 
@@ -71,6 +89,12 @@ func (f *Flags) Job() (Job, error) {
 	}
 	if passed["ratio"] || job.Algorithm.Ratio == 0 {
 		job.Algorithm.Ratio = f.Ratio
+	}
+	if f.ParallelFlag && (passed["parallel"] || job.Parallelism == 0) {
+		job.Parallelism = par.Workers(f.Parallel)
+	}
+	if passed["explain"] {
+		job.Explain = f.explain
 	}
 	return job, nil
 }

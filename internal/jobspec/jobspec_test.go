@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -19,7 +20,8 @@ import (
 // simFlags are cmd/espresso-sim's defaults: the CLI whose private -job
 // loader used to drop custom models.
 func simFlags() *jobspec.Flags {
-	return &jobspec.Flags{Model: "lstm", Cluster: "nvlink", Machines: 2, GPUs: 2, Algo: "dgc", Ratio: 0.01, JobFlag: true}
+	return &jobspec.Flags{Model: "lstm", Cluster: "nvlink", Machines: 2, GPUs: 2, Algo: "dgc", Ratio: 0.01,
+		JobFlag: true, ParallelFlag: true, Parallel: 1, ExplainFlag: true}
 }
 
 // cli resolves a command line the way every cmd/* does.
@@ -129,22 +131,32 @@ func TestCustomModelJob(t *testing.T) {
 }
 
 // TestFlagPrecedence pins the one rule: flag default < job file < flag
-// passed explicitly, with 0 GPUs meaning the preset default.
+// passed explicitly, with 0 GPUs meaning the preset default and
+// -parallel 0 one search worker per CPU.
 func TestFlagPrecedence(t *testing.T) {
 	const bert = "../../configs/bert_nvlink.json"
+	search := filepath.Join(t.TempDir(), "search.json")
+	if err := os.WriteFile(search, []byte(`{"model":{"preset":"vgg16"},"parallelism":3,"explain":true}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name          string
 		args          []string
 		model         string
 		machines, gpu int
+		par           int
+		explain       bool
 	}{
-		{"defaults", nil, "lstm", 2, 2},
-		{"file over defaults", []string{"-job", bert}, "bert-base", 8, 2},
-		{"explicit over file", []string{"-job", bert, "-machines", "2"}, "bert-base", 2, 2},
-		{"explicit equal to default still wins", []string{"-job", bert, "-model", "lstm"}, "lstm", 8, 2},
-		{"explicit model over custom tensors", []string{"-job", "../../configs/custom_model.json", "-model", "vgg16"}, "vgg16", 4, 8},
-		{"gpus 0 is the preset default", []string{"-gpus", "0"}, "lstm", 2, 8},
-		{"gpus 0 over file", []string{"-job", "../../configs/custom_model.json", "-gpus", "0", "-cluster", "nvlink"}, "mlp-demo", 4, 8},
+		{"defaults", nil, "lstm", 2, 2, 1, false},
+		{"file over defaults", []string{"-job", bert}, "bert-base", 8, 2, 1, false},
+		{"explicit over file", []string{"-job", bert, "-machines", "2"}, "bert-base", 2, 2, 1, false},
+		{"explicit equal to default still wins", []string{"-job", bert, "-model", "lstm"}, "lstm", 8, 2, 1, false},
+		{"explicit model over custom tensors", []string{"-job", "../../configs/custom_model.json", "-model", "vgg16"}, "vgg16", 4, 8, 1, false},
+		{"gpus 0 is the preset default", []string{"-gpus", "0"}, "lstm", 2, 8, 1, false},
+		{"gpus 0 over file", []string{"-job", "../../configs/custom_model.json", "-gpus", "0", "-cluster", "nvlink"}, "mlp-demo", 4, 8, 1, false},
+		{"search settings from the file", []string{"-job", search}, "vgg16", 2, 2, 3, true},
+		{"explicit search flags over file", []string{"-job", search, "-parallel", "2", "-explain=false"}, "vgg16", 2, 2, 2, false},
+		{"parallel 0 is one per CPU", []string{"-parallel", "0", "-explain"}, "lstm", 2, 2, runtime.GOMAXPROCS(0), true},
 	}
 	for _, tc := range cases {
 		r, err := cli(simFlags(), tc.args...)
@@ -155,6 +167,10 @@ func TestFlagPrecedence(t *testing.T) {
 		if r.Model.Name != tc.model || r.Cluster.Machines != tc.machines || r.Cluster.GPUsPerMachine != tc.gpu {
 			t.Errorf("%s: got %s on %d x %d, want %s on %d x %d", tc.name,
 				r.Model.Name, r.Cluster.Machines, r.Cluster.GPUsPerMachine, tc.model, tc.machines, tc.gpu)
+		}
+		if r.Job.Parallelism != tc.par || r.Job.Explain != tc.explain {
+			t.Errorf("%s: got parallelism %d, explain %v; want %d, %v", tc.name,
+				r.Job.Parallelism, r.Job.Explain, tc.par, tc.explain)
 		}
 	}
 }

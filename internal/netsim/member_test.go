@@ -49,33 +49,6 @@ func TestMemberRejoin(t *testing.T) {
 	}
 }
 
-// Restrict slices the degraded link matrix to the survivors and rejects
-// malformed survivor sets.
-func TestRestrictSlicesTopology(t *testing.T) {
-	nw := MustNew(4, time.Microsecond, 1e9)
-	apply(t, nw, Transition{Src: 0, Dst: 2, Bps: 5e8, Loss: -1})
-	sub, err := nw.Restrict([]int{0, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.Nodes() != 3 {
-		t.Fatalf("restricted nodes = %d, want 3", sub.Nodes())
-	}
-	snap := sub.Snapshot()
-	// Old link 0->2 becomes new link 0->1.
-	if snap[0][1] != 5e8 {
-		t.Fatalf("degraded link not carried: %g", snap[0][1])
-	}
-	if snap[0][2] != 1e9 {
-		t.Fatalf("healthy link changed: %g", snap[0][2])
-	}
-	for _, bad := range [][]int{nil, {}, {-1}, {0, 4}, {2, 1}, {1, 1}} {
-		if _, err := nw.Restrict(bad); err == nil {
-			t.Fatalf("Restrict(%v) accepted", bad)
-		}
-	}
-}
-
 // Retransmission exhaustion: the typed error surfaces, FaultStats counts
 // the abandonment, and the ledger stays consistent (every drop is either
 // retried or abandoned).

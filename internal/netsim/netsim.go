@@ -92,41 +92,6 @@ func (nw *Network) Snapshot() [][]float64 {
 // Nodes reports the node count.
 func (nw *Network) Nodes() int { return nw.n }
 
-// Restrict builds a fresh network over the surviving nodes: the link
-// bandwidth matrix is the current Snapshot sliced to survivors (ascending
-// original node indices, which become 0..len-1 in the new network), the
-// per-message latency and retransmission policy carry over, and every
-// survivor starts active. The event clock starts at zero — callers
-// embedding the restricted network in a larger timeline Idle it forward —
-// and the fault timeline does NOT carry over (survivor indices shift, so
-// the caller re-Programs a remapped timeline).
-func (nw *Network) Restrict(survivors []int) (*Network, error) {
-	if len(survivors) == 0 {
-		return nil, fmt.Errorf("netsim: restrict to empty membership")
-	}
-	for i, s := range survivors {
-		if s < 0 || s >= nw.n {
-			return nil, fmt.Errorf("netsim: survivor %d out of range for %d nodes", s, nw.n)
-		}
-		if i > 0 && s <= survivors[i-1] {
-			return nil, fmt.Errorf("netsim: survivors must be strictly ascending, got %v", survivors)
-		}
-	}
-	out, err := New(len(survivors), nw.alpha, 1)
-	if err != nil {
-		return nil, err
-	}
-	for i, si := range survivors {
-		for j, sj := range survivors {
-			out.bps[i][j] = nw.bps[si][sj]
-		}
-	}
-	out.rec = nw.rec
-	out.loss = nw.loss
-	out.rng = nw.rng
-	return out, nil
-}
-
 // Now reports the network's absolute virtual time.
 func (nw *Network) Now() time.Duration { return nw.eng.Now() }
 

@@ -603,6 +603,7 @@ func TestAuthAndErrorContract(t *testing.T) {
 		{"job unknown kind", "POST", "/v1/jobs", token, `{"kind":"mystery"}`, 400, client.CodeBadRequest, ""},
 		{"chaos job without plan", "POST", "/v1/jobs", token, `{"kind":"chaos"}`, 400, client.CodeBadRequest, ""},
 		{"chaos job on a self-link", "POST", "/v1/jobs", token, `{"kind":"chaos","plan":{"faults":[{"kind":"straggler","src":0,"dst":0,"scale":0.1}]}}`, 400, client.CodeBadRequest, ""},
+		{"chaos plan with a misspelled field", "POST", "/v1/jobs", token, `{"kind":"chaos","plan":{"seed":1,"deadlin":"2s","faults":[{"kind":"straggler","src":-1,"scale":0.5,"strat":"1s"}]}}`, 400, client.CodeBadRequest, ""},
 		{"verify job with plan", "POST", "/v1/jobs", token, `{"kind":"verify","plan":{}}`, 400, client.CodeBadRequest, ""},
 		{"method not allowed", "GET", "/v1/select", token, "", 405, client.CodeMethod, "POST"},
 		{"delete on reports", "DELETE", "/v1/reports", token, "", 405, client.CodeMethod, "GET"},

@@ -359,10 +359,13 @@ func (s *Store) PutReportWithID(id, kind string, seed uint64, body json.RawMessa
 		Body: append(json.RawMessage(nil), body...),
 		Seq:  seq,
 	}
-	if err := s.wal.append(record{Report: &r}); err != nil {
+	rec := record{Report: &r}
+	if err := s.wal.append(rec); err != nil {
 		return Report{}, err
 	}
-	s.reports[r.ID] = r
+	// As on replay: the row lands and the counter moves past its ID, so
+	// ReserveReportID never reissues a written ID.
+	s.apply(rec)
 	return r, nil
 }
 

@@ -364,3 +364,26 @@ func TestPutReportRejectsMalformedIDs(t *testing.T) {
 		t.Errorf("seven-digit report ID rejected: %v", err)
 	}
 }
+
+// A report written under an ID the live counter has not reached moves
+// the counter past it, as replay does: ReserveReportID never reissues a
+// written ID, before or after a reopen.
+func TestPutReportAdvancesCounter(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir)
+	if _, err := s.PutReportWithID("rep-000003", "select", 1, json.RawMessage(`{}`)); err != nil {
+		t.Fatal(err)
+	}
+	id, err := s.ReserveReportID()
+	if err != nil || id != "rep-000004" {
+		t.Fatalf("live ReserveReportID = %q, %v; want rep-000004", id, err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s = open(t, dir)
+	defer s.Close()
+	if id, err := s.ReserveReportID(); err != nil || id != "rep-000005" {
+		t.Fatalf("reopened ReserveReportID = %q, %v; want rep-000005", id, err)
+	}
+}
