@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"espresso/internal/chaos"
+	"espresso/internal/cluster"
 	"espresso/internal/core"
 	"espresso/internal/ddl"
 	"espresso/internal/jobspec"
@@ -49,6 +50,7 @@ func main() {
 		JobFlag: true, ParallelFlag: true, Parallel: 1, ExplainFlag: true}
 	jf.Register(nil)
 	flag.Lookup("gpus").Usage = "GPUs per machine (kept small: the data plane moves real bytes)"
+	flag.Lookup("parallel").Usage = "workers for the strategy search and the data plane's per-GPU work (0 = one per CPU); every output is identical at any setting"
 	flag.Lookup("job").Usage = "job-description JSON (overrides -model/-cluster/-machines/-gpus/-algo/-ratio)"
 	log = logx.ParseFlags()
 
@@ -143,14 +145,18 @@ func main() {
 
 	// Execute the data plane with scaled-down tensors: per-GPU random
 	// gradients move through the real compression/collective stack.
-	x, err := ddl.NewExecutor(c, spec)
-	if err != nil {
-		fatal(err)
+	newExecutor := func(c *cluster.Cluster) *ddl.Executor {
+		x, err := ddl.NewExecutor(c, spec)
+		if err != nil {
+			fatal(err)
+		}
+		x.Metrics, x.Parallelism = metrics, job.Parallelism
+		if runner != nil {
+			x.Wire = runner.WireConfig()
+		}
+		return x
 	}
-	x.Metrics = metrics
-	if runner != nil {
-		x.Wire = runner.WireConfig()
-	}
+	x := newExecutor(c)
 	rng := rand.New(rand.NewSource(1))
 	dataC := c
 	total := dataC.TotalGPUs()
@@ -186,11 +192,7 @@ func main() {
 				}
 				seenEvents = len(events)
 				dataC = runner.ActiveCluster()
-				if x, err = ddl.NewExecutor(dataC, spec); err != nil {
-					fatal(err)
-				}
-				x.Metrics = metrics
-				x.Wire = runner.WireConfig()
+				x = newExecutor(dataC)
 				total = dataC.TotalGPUs()
 				s = runner.Strategy
 			}

@@ -12,10 +12,12 @@ package ddl
 
 import (
 	"fmt"
+	"slices"
 
 	"espresso/internal/cluster"
 	"espresso/internal/compress"
 	"espresso/internal/obs"
+	"espresso/internal/par"
 	"espresso/internal/strategy"
 )
 
@@ -38,6 +40,13 @@ type Executor struct {
 	// bounded retransmission (see WireConfig).
 	Wire *WireConfig
 
+	// Parallelism is the worker count for the per-GPU work of a call:
+	// the GPUs' private copies of their gradients, and every compression
+	// and decompression step. Values below 1 (the default) mean one per
+	// CPU. Results, error feedback, traffic and metrics are
+	// bit-identical at every setting.
+	Parallelism int
+
 	comp compress.Compressor
 	// ef holds per-GPU error-feedback state, keyed inside by tensor
 	// name and region.
@@ -51,7 +60,30 @@ type Executor struct {
 	payloadScratch []*compress.Payload
 
 	traffic Traffic
+
+	// call is the SyncTensor in progress, which the per-GPU tasks read.
+	// An executor is not safe for concurrent use (the payload scratch is
+	// shared), so the call can live here and the tasks be method values
+	// bound once, in NewExecutor: a step fans out without allocating.
+	call                                   syncCall
+	copyTask, compressTask, decompressTask func(worker, g int) error
 }
+
+// syncCall is the state of one SyncTensor call.
+type syncCall struct {
+	name    string
+	grads   [][]float32
+	states  []nodeState
+	seed    uint64
+	useEF   bool // the compression in progress is the tensor's first
+	workers int
+}
+
+// parallelGrain is the tensor length below which a call runs on the
+// caller alone: smaller per-GPU work costs less than waking a helper.
+// Communication steps always run on the caller: they stream memory, and
+// giving each group of a 2x2 cluster its own core bought nothing.
+const parallelGrain = 1 << 13
 
 // PhaseBytes splits one communication domain's wire bytes by payload
 // kind: dense FP32 regions vs encoded compressed payloads.
@@ -101,7 +133,9 @@ func NewExecutor(c *cluster.Cluster, spec compress.Spec) (*Executor, error) {
 	for i := range ef {
 		ef[i] = compress.NewErrorFeedback(comp)
 	}
-	return &Executor{C: c, Spec: spec, comp: comp, ef: ef}, nil
+	x := &Executor{C: c, Spec: spec, comp: comp, ef: ef}
+	x.copyTask, x.compressTask, x.decompressTask = x.copyIn, x.compressGPU, x.decompressGPU
+	return x, nil
 }
 
 // nodeState is one GPU's view of a tensor mid-synchronization. buf is the
@@ -124,6 +158,10 @@ func (s *nodeState) dense() []float32 { return s.buf[s.lo:s.hi] }
 // gradient (len TotalGPUs, equal lengths); the result holds each GPU's
 // aggregated gradient after executing opt. seed varies randomized
 // compression across iterations; name keys error-feedback state.
+//
+// The GPUs run side by side: their copies, compressions and
+// decompressions fan out over Parallelism workers, each step joining
+// before the next; communication steps run on the caller.
 func (x *Executor) SyncTensor(name string, grads [][]float32, opt strategy.Option, seed uint64) ([][]float32, error) {
 	if err := strategy.Check(opt, x.C); err != nil {
 		return nil, err
@@ -133,23 +171,29 @@ func (x *Executor) SyncTensor(name string, grads [][]float32, opt strategy.Optio
 		return nil, fmt.Errorf("ddl: %d gradients for %d GPUs", len(grads), total)
 	}
 	n := len(grads[0])
-	states := make([]nodeState, total)
-	for g := range states {
+	for g := range grads {
 		if len(grads[g]) != n {
 			return nil, fmt.Errorf("ddl: GPU %d gradient has %d elements, GPU 0 has %d", g, len(grads[g]), n)
 		}
-		states[g] = nodeState{active: true, hi: n, buf: append([]float32(nil), grads[g]...)}
 	}
+	c := &x.call
+	*c = syncCall{name: name, grads: grads, states: slices.Grow(c.states[:0], total)[:total], seed: seed, workers: 1}
+	defer x.endCall()
+	if n >= parallelGrain {
+		c.workers = par.Workers(x.Parallelism)
+	}
+	states := c.states
+	_ = par.Each(total, c.workers, x.copyTask) // copyIn cannot fail
 
 	firstComp := true
 	for si, st := range opt.Steps {
 		var err error
 		switch st.Act {
 		case strategy.Comp:
-			err = x.compressStep(name, states, seed, firstComp)
+			err = x.compressStep(firstComp)
 			firstComp = false
 		case strategy.Decomp:
-			err = x.decompressStep(states)
+			err = par.Each(total, c.workers, x.decompressTask)
 		case strategy.Comm:
 			for _, group := range x.groups(st.Scope, states) {
 				if err = x.commStep(st, states, group); err != nil {
@@ -172,6 +216,20 @@ func (x *Executor) SyncTensor(name string, grads [][]float32, opt strategy.Optio
 		out[g] = s.buf
 	}
 	return out, nil
+}
+
+// endCall drops the finished call's references to the caller's and the
+// result's buffers, keeping only the states' backing array.
+func (x *Executor) endCall() {
+	clear(x.call.states)
+	x.call = syncCall{states: x.call.states[:0]}
+}
+
+// copyIn gives GPU g its private copy of its gradient.
+func (x *Executor) copyIn(_, g int) error {
+	c := &x.call
+	c.states[g] = nodeState{active: true, hi: len(c.grads[g]), buf: append([]float32(nil), c.grads[g]...)}
+	return nil
 }
 
 // groups partitions GPUs into the communication groups of a scope:
@@ -221,69 +279,88 @@ func (x *Executor) groups(sc strategy.Scope, states []nodeState) [][]int {
 	}
 }
 
-func (x *Executor) compressStep(name string, states []nodeState, seed uint64, useEF bool) error {
+// compressStep compresses every active GPU's dense region; useEF
+// applies error feedback (the tensor's first compression). The metrics
+// are recorded afterwards, in GPU order, so they do not depend on how
+// the compressions interleaved.
+func (x *Executor) compressStep(useEF bool) error {
+	states := x.call.states
 	if x.payloadScratch == nil {
 		x.payloadScratch = make([]*compress.Payload, len(states))
 		for i := range x.payloadScratch {
 			x.payloadScratch[i] = new(compress.Payload)
 		}
 	}
+	x.call.useEF = useEF
+	if err := par.Each(len(states), x.call.workers, x.compressTask); err != nil {
+		return err
+	}
+	if x.Metrics == nil {
+		return nil
+	}
 	for g := range states {
 		s := &states[g]
 		if !s.active {
 			continue
 		}
-		var p *compress.Payload
-		var err error
-		if useEF && !x.DisableErrorFeedback {
-			key := compress.Key{Name: name, Lo: s.lo, Hi: s.hi}
-			p, err = x.ef[g].CompressInto(x.payloadScratch[g], key, s.dense(), seed+uint64(g))
-			if err != nil {
-				return err
-			}
-		} else {
-			p = x.comp.CompressInto(x.payloadScratch[g], s.dense(), seed+uint64(g))
+		dense := 4 * int64(s.hi-s.lo)
+		wire := int64(x.comp.WireBytes(s.payloads[0].N))
+		x.Metrics.Counter("compress.ops").Inc()
+		x.Metrics.Counter("compress.dense_bytes").Add(dense)
+		x.Metrics.Counter("compress.wire_bytes").Add(wire)
+		if dense > 0 {
+			x.Metrics.Histogram("compress.ratio", obs.RatioBuckets...).
+				Observe(float64(wire) / float64(dense))
 		}
-		p.Base = s.lo
-		if x.Metrics != nil {
-			dense := 4 * int64(s.hi-s.lo)
-			wire := int64(x.comp.WireBytes(p.N))
-			x.Metrics.Counter("compress.ops").Inc()
-			x.Metrics.Counter("compress.dense_bytes").Add(dense)
-			x.Metrics.Counter("compress.wire_bytes").Add(wire)
-			if dense > 0 {
-				x.Metrics.Histogram("compress.ratio", obs.RatioBuckets...).
-					Observe(float64(wire) / float64(dense))
-			}
-		}
-		s.payloads = []*compress.Payload{p}
-		s.compressed = true
 	}
 	return nil
 }
 
-func (x *Executor) decompressStep(states []nodeState) error {
-	for g := range states {
-		s := &states[g]
-		if !s.active {
-			continue
-		}
-		if !s.compressed {
-			return fmt.Errorf("GPU %d decompressing a dense region", g)
-		}
-		acc := s.dense()
-		clear(acc)
-		for _, p := range s.payloads {
-			// AddDecompressed works on a full-tensor accumulator;
-			// shift the payload into region-relative coordinates.
-			rel := *p
-			rel.Base = p.Base - s.lo
-			if err := compress.AddDecompressed(x.comp, &rel, acc); err != nil {
-				return err
-			}
-		}
-		s.payloads = nil
-		s.compressed = false
+// compressGPU compresses GPU g's dense region into its payload scratch.
+func (x *Executor) compressGPU(_, g int) error {
+	c := &x.call
+	s := &c.states[g]
+	if !s.active {
+		return nil
 	}
+	var p *compress.Payload
+	if c.useEF && !x.DisableErrorFeedback {
+		key := compress.Key{Name: c.name, Lo: s.lo, Hi: s.hi}
+		var err error
+		if p, err = x.ef[g].CompressInto(x.payloadScratch[g], key, s.dense(), c.seed+uint64(g)); err != nil {
+			return err
+		}
+	} else {
+		p = x.comp.CompressInto(x.payloadScratch[g], s.dense(), c.seed+uint64(g))
+	}
+	p.Base = s.lo
+	s.payloads = []*compress.Payload{p}
+	s.compressed = true
+	return nil
+}
+
+// decompressGPU replaces GPU g's payloads with the dense sum of their
+// reconstructions.
+func (x *Executor) decompressGPU(_, g int) error {
+	s := &x.call.states[g]
+	if !s.active {
+		return nil
+	}
+	if !s.compressed {
+		return fmt.Errorf("GPU %d decompressing a dense region", g)
+	}
+	acc := s.dense()
+	clear(acc)
+	for _, p := range s.payloads {
+		// AddDecompressed works on a full-tensor accumulator;
+		// shift the payload into region-relative coordinates.
+		rel := *p
+		rel.Base = p.Base - s.lo
+		if err := compress.AddDecompressed(x.comp, &rel, acc); err != nil {
+			return err
+		}
+	}
+	s.payloads = nil
+	s.compressed = false
 	return nil
 }

@@ -38,8 +38,9 @@ type Span struct {
 	Parent int `json:"parent"`
 	// Name labels the pipeline phase ("seed", "sweep", "probe", ...).
 	Name string `json:"name"`
-	// Worker is 1 + the fan-out worker index for spans recorded on a
-	// par.Each worker; 0 means the request's own goroutine.
+	// Worker is 1 + the par.Each worker index for spans recorded inside
+	// a fan-out (worker 0 is the request's own goroutine); 0 means the
+	// span is outside any fan-out.
 	Worker int `json:"worker,omitempty"`
 	// Tensor is 1 + the tensor index for per-tensor probe spans; 0 means
 	// no tensor association (the obs.Span convention).

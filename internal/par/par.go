@@ -1,8 +1,8 @@
 // Package par provides the small bounded worker pool that the strategy
-// search and the experiment sweeps fan out on. The module is
-// dependency-free by design, so this stands in for errgroup-style
-// helpers: a fixed number of workers drain an indexed task list, and
-// the lowest-index error (a deterministic choice) is reported.
+// search, the data plane and the experiment sweeps fan out on. The module
+// is dependency-free by design, so this stands in for errgroup-style
+// helpers: a fixed number of workers drain an indexed task list, and the
+// lowest-index error (a deterministic choice) is reported.
 package par
 
 import (
@@ -28,6 +28,11 @@ func Workers(n int) int {
 // In parallel mode every task runs regardless of other tasks' errors,
 // and the error with the lowest index is returned, which keeps the
 // reported failure independent of goroutine scheduling.
+//
+// The caller is worker 0; workers 1.. are helper goroutines that stay
+// parked between calls, so a call in steady state starts no goroutine
+// and allocates nothing: a caller that passes a func value it already
+// holds (a method value bound once, say) fans out for free.
 func Each(n, workers int, task func(worker, i int) error) error {
 	if workers > n {
 		workers = n
@@ -40,34 +45,130 @@ func Each(n, workers int, task func(worker, i int) error) error {
 		}
 		return nil
 	}
-	// Errors are rare on the probe hot path; track only the lowest-index
-	// one under a mutex instead of allocating a per-call error slice.
-	var (
-		mu     sync.Mutex
-		firstI = -1
-		firstE error
-		next   atomic.Int64
-		wg     sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := task(worker, i); err != nil {
-					mu.Lock()
-					if firstI < 0 || i < firstI {
-						firstI, firstE = i, err
-					}
-					mu.Unlock()
-				}
-			}
-		}(w)
+	f := takeFan(task, n, workers-1)
+	for w := 1; w < workers; w++ {
+		wake(f, w)
 	}
-	wg.Wait()
-	return firstE
+	// A woken helper waits in this P's next-to-run slot, which an idle P
+	// steals only after backing off; had the caller started draining,
+	// the first helper would join tens of microseconds late. Yielding
+	// runs that helper here at once and lets the idle P pick the caller.
+	runtime.Gosched()
+	f.lead()
+	err := f.err
+	releaseFan(f)
+	return err
+}
+
+// fan is one parallel Each call's shared state. Fans are recycled, so
+// a call allocates none once the free list holds one.
+type fan struct {
+	task func(worker, i int) error
+	n    int
+	next atomic.Int64
+	wg   sync.WaitGroup // the helpers still draining
+
+	// Errors are rare on the probe hot path; only the lowest-index one
+	// is kept.
+	mu   sync.Mutex
+	errI int
+	err  error
+}
+
+// drain runs tasks until the list is exhausted.
+func (f *fan) drain(worker int) {
+	for {
+		i := int(f.next.Add(1)) - 1
+		if i >= f.n {
+			return
+		}
+		if err := f.task(worker, i); err != nil {
+			f.mu.Lock()
+			if f.err == nil || i < f.errI {
+				f.errI, f.err = i, err
+			}
+			f.mu.Unlock()
+		}
+	}
+}
+
+// lead drains as worker 0 and then waits for the helpers, even when a
+// task panics: no helper still runs a task once the panic leaves Each.
+func (f *fan) lead() {
+	defer f.wg.Wait()
+	f.drain(0)
+}
+
+// helper is a parked goroutine's mailbox. It holds at most one
+// assignment: a helper is handed work only by whoever takes it off the
+// parked list, and it puts itself back only after draining its last.
+type helper chan assignment
+
+type assignment struct {
+	f      *fan
+	worker int
+}
+
+// idle holds the parked helpers and the recycled fans.
+var idle struct {
+	sync.Mutex
+	helpers []helper
+	fans    []*fan
+}
+
+func takeFan(task func(worker, i int) error, n, helpers int) *fan {
+	idle.Lock()
+	var f *fan
+	if k := len(idle.fans); k > 0 {
+		f = idle.fans[k-1]
+		idle.fans = idle.fans[:k-1]
+	}
+	idle.Unlock()
+	if f == nil {
+		f = new(fan)
+	}
+	f.task, f.n = task, n
+	f.next.Store(0)
+	f.errI, f.err = 0, nil
+	f.wg.Add(helpers)
+	return f
+}
+
+func releaseFan(f *fan) {
+	f.task, f.err = nil, nil // hold no caller state while parked
+	idle.Lock()
+	idle.fans = append(idle.fans, f)
+	idle.Unlock()
+}
+
+// wake hands worker slot `worker` of f to a parked helper, starting a new
+// one when none is parked.
+func wake(f *fan, worker int) {
+	idle.Lock()
+	var h helper
+	if k := len(idle.helpers); k > 0 {
+		h = idle.helpers[k-1]
+		idle.helpers = idle.helpers[:k-1]
+	}
+	idle.Unlock()
+	if h == nil {
+		h = make(helper, 1)
+		go h.run()
+	}
+	h <- assignment{f, worker}
+}
+
+// run serves assignments for the life of the process. A helper parks
+// before it signals its fan done, so a caller's next Each finds it on
+// the list instead of starting another: the helpers a process keeps are
+// the peak number its concurrent fan-outs used at once, each a parked
+// goroutine of a few kilobytes of stack.
+func (h helper) run() {
+	for a := range h {
+		a.f.drain(a.worker)
+		idle.Lock()
+		idle.helpers = append(idle.helpers, h)
+		idle.Unlock()
+		a.f.wg.Done()
+	}
 }
