@@ -50,7 +50,6 @@ func main() {
 		JobFlag: true, ParallelFlag: true, Parallel: 1, ExplainFlag: true}
 	jf.Register(nil)
 	flag.Lookup("gpus").Usage = "GPUs per machine (kept small: the data plane moves real bytes)"
-	flag.Lookup("parallel").Usage = "workers for the strategy search and the data plane's per-GPU work (0 = one per CPU); every output is identical at any setting"
 	flag.Lookup("job").Usage = "job-description JSON (overrides -model/-cluster/-machines/-gpus/-algo/-ratio)"
 	log = logx.ParseFlags()
 
@@ -150,7 +149,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		x.Metrics, x.Parallelism = metrics, job.Parallelism
+		x.Metrics = metrics
 		if runner != nil {
 			x.Wire = runner.WireConfig()
 		}

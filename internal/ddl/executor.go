@@ -40,13 +40,6 @@ type Executor struct {
 	// bounded retransmission (see WireConfig).
 	Wire *WireConfig
 
-	// Parallelism is the worker count for the per-GPU work of a call:
-	// the GPUs' private copies of their gradients, and every compression
-	// and decompression step. Values below 1 (the default) mean one per
-	// CPU. Results, error feedback, traffic and metrics are
-	// bit-identical at every setting.
-	Parallelism int
-
 	comp compress.Compressor
 	// ef holds per-GPU error-feedback state, keyed inside by tensor
 	// name and region.
@@ -80,10 +73,14 @@ type syncCall struct {
 }
 
 // parallelGrain is the tensor length below which a call runs on the
-// caller alone: smaller per-GPU work costs less than waking a helper.
-// Communication steps always run on the caller: they stream memory, and
-// giving each group of a 2x2 cluster its own core bought nothing.
-const parallelGrain = 1 << 13
+// caller alone. BenchmarkSyncTensor on a 2-core box, DGC(0.01) on the
+// 2x2 cluster, median of six interleaved runs, fanned out ÷ caller
+// alone: 0.95 at 2^11 and 0.98 at 2^12 elements per GPU (fan-out won 4
+// and 3 of 6: a tie), then 0.78, 0.72 and 0.65 at 2^13, 2^14 and 2^15
+// (won 6 of 6 each). Communication steps always run on the caller: they
+// stream memory, and giving each group of a 2x2 cluster its own core
+// bought nothing. A var only so the benchmark can move it.
+var parallelGrain = 1 << 13
 
 // PhaseBytes splits one communication domain's wire bytes by payload
 // kind: dense FP32 regions vs encoded compressed payloads.
@@ -160,8 +157,10 @@ func (s *nodeState) dense() []float32 { return s.buf[s.lo:s.hi] }
 // compression across iterations; name keys error-feedback state.
 //
 // The GPUs run side by side: their copies, compressions and
-// decompressions fan out over Parallelism workers, each step joining
-// before the next; communication steps run on the caller.
+// decompressions fan out over one worker per CPU, each step joining
+// before the next; communication steps run on the caller. Results,
+// error feedback, traffic and metrics are bit-identical whatever the
+// worker count.
 func (x *Executor) SyncTensor(name string, grads [][]float32, opt strategy.Option, seed uint64) ([][]float32, error) {
 	if err := strategy.Check(opt, x.C); err != nil {
 		return nil, err
@@ -180,7 +179,7 @@ func (x *Executor) SyncTensor(name string, grads [][]float32, opt strategy.Optio
 	*c = syncCall{name: name, grads: grads, states: slices.Grow(c.states[:0], total)[:total], seed: seed, workers: 1}
 	defer x.endCall()
 	if n >= parallelGrain {
-		c.workers = par.Workers(x.Parallelism)
+		c.workers = par.Workers(0)
 	}
 	states := c.states
 	_ = par.Each(total, c.workers, x.copyTask) // copyIn cannot fail

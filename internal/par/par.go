@@ -32,7 +32,9 @@ func Workers(n int) int {
 // The caller is worker 0; workers 1.. are helper goroutines that stay
 // parked between calls, so a call in steady state starts no goroutine
 // and allocates nothing: a caller that passes a func value it already
-// holds (a method value bound once, say) fans out for free.
+// holds (a method value bound once, say) fans out for free. A task that
+// panics, on the caller or on a helper, panics out of Each once every
+// worker is done.
 func Each(n, workers int, task func(worker, i int) error) error {
 	if workers > n {
 		workers = n
@@ -55,8 +57,11 @@ func Each(n, workers int, task func(worker, i int) error) error {
 	// runs that helper here at once and lets the idle P pick the caller.
 	runtime.Gosched()
 	f.lead()
-	err := f.err
+	err, panicked, p := f.err, f.panicked, f.panicVal
 	releaseFan(f)
+	if panicked {
+		panic(p)
+	}
 	return err
 }
 
@@ -69,10 +74,12 @@ type fan struct {
 	wg   sync.WaitGroup // the helpers still draining
 
 	// Errors are rare on the probe hot path; only the lowest-index one
-	// is kept.
-	mu   sync.Mutex
-	errI int
-	err  error
+	// is kept, and only the first helper panic.
+	mu       sync.Mutex
+	errI     int
+	err      error
+	panicked bool
+	panicVal any
 }
 
 // drain runs tasks until the list is exhausted.
@@ -97,6 +104,22 @@ func (f *fan) drain(worker int) {
 func (f *fan) lead() {
 	defer f.wg.Wait()
 	f.drain(0)
+}
+
+// help drains as a helper. A panicking task stops this helper only: the
+// panic is kept for the caller to raise after the join, and the other
+// workers drain the rest.
+func (f *fan) help(worker int) {
+	defer func() {
+		if p := recover(); p != nil {
+			f.mu.Lock()
+			if !f.panicked {
+				f.panicked, f.panicVal = true, p
+			}
+			f.mu.Unlock()
+		}
+	}()
+	f.drain(worker)
 }
 
 // helper is a parked goroutine's mailbox. It holds at most one
@@ -130,12 +153,13 @@ func takeFan(task func(worker, i int) error, n, helpers int) *fan {
 	f.task, f.n = task, n
 	f.next.Store(0)
 	f.errI, f.err = 0, nil
+	f.panicked = false
 	f.wg.Add(helpers)
 	return f
 }
 
 func releaseFan(f *fan) {
-	f.task, f.err = nil, nil // hold no caller state while parked
+	f.task, f.err, f.panicVal = nil, nil, nil // hold no caller state while parked
 	idle.Lock()
 	idle.fans = append(idle.fans, f)
 	idle.Unlock()
@@ -158,17 +182,24 @@ func wake(f *fan, worker int) {
 	h <- assignment{f, worker}
 }
 
-// run serves assignments for the life of the process. A helper parks
-// before it signals its fan done, so a caller's next Each finds it on
-// the list instead of starting another: the helpers a process keeps are
-// the peak number its concurrent fan-outs used at once, each a parked
-// goroutine of a few kilobytes of stack.
+// run serves assignments until the helper finds GOMAXPROCS helpers
+// parked already; then it exits. A helper parks before it signals its
+// fan done, so a caller's next Each finds it on the list instead of
+// starting another. A burst of concurrent fan-outs starts as many
+// helpers as it needs, and the process keeps at most GOMAXPROCS of them
+// afterwards, each a parked goroutine of a few kilobytes of stack.
 func (h helper) run() {
 	for a := range h {
-		a.f.drain(a.worker)
+		a.f.help(a.worker)
 		idle.Lock()
-		idle.helpers = append(idle.helpers, h)
+		park := len(idle.helpers) < runtime.GOMAXPROCS(0)
+		if park {
+			idle.helpers = append(idle.helpers, h)
+		}
 		idle.Unlock()
 		a.f.wg.Done()
+		if !park {
+			return
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -83,58 +84,100 @@ var (
 	countTask = func(_, _ int) error { counted.Add(1); return nil }
 )
 
-// In steady state a parallel call starts no goroutine and allocates
-// nothing: its helpers were parked by the call before, before it
-// returned, so even a caller that fans out again at once finds them.
+// mallocsPerCall is testing.AllocsPerRun at the caller's GOMAXPROCS
+// (AllocsPerRun measures at GOMAXPROCS 1, where one helper stays parked).
+func mallocsPerCall(runs int, f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs)
+}
+
+// In steady state a parallel call on no more helpers than stay parked
+// (GOMAXPROCS) starts no goroutine and allocates nothing: its helpers
+// were parked by the call before, before it returned, so even a caller
+// that fans out again at once finds them.
 func TestEachSteadyStateAllocatesNothing(t *testing.T) {
-	Each(8, 3, countTask) // park the helpers
+	workers := runtime.GOMAXPROCS(0) + 1
+	call := func() { Each(8, workers, countTask) }
+	call() // park the helpers
 	goroutines := runtime.NumGoroutine()
 	counted.Store(0)
 	for i := 0; i < 2000; i++ {
-		Each(8, 3, countTask)
+		call()
 	}
-	if allocs := testing.AllocsPerRun(100, func() { Each(8, 3, countTask) }); allocs != 0 {
+	if allocs := mallocsPerCall(100, call); allocs != 0 {
 		t.Errorf("a parallel Each allocates %v times per call", allocs)
 	}
-	if got := counted.Load(); got != 2101*8 {
-		t.Fatalf("%d tasks ran, want %d", got, 2101*8)
+	if got := counted.Load(); got != 2100*8 {
+		t.Fatalf("%d tasks ran, want %d", got, 2100*8)
 	}
 	if now := runtime.NumGoroutine(); now > goroutines {
-		t.Errorf("%d goroutines after 2,101 calls, %d before: helpers were started, not reused", now, goroutines)
+		t.Errorf("%d goroutines after 2,100 calls, %d before: helpers were started, not reused", now, goroutines)
 	}
 }
 
-// A panicking task on the caller leaves Each only once every helper is
-// done: nothing still runs a task when the panic reaches a recover.
+// A panicking task, on the caller or on a helper, leaves Each only once
+// every worker is done: nothing still runs a task when the panic reaches
+// a recover, and the other workers ran every task the panicker did not.
 func TestEachPanicWaitsForHelpers(t *testing.T) {
-	var running, ran atomic.Int32
-	callerStarted := make(chan struct{})
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("the panic did not propagate")
-			}
-		}()
-		Each(16, 4, func(worker, i int) error {
-			running.Add(1)
-			defer running.Add(-1)
-			if worker == 0 {
-				close(callerStarted)
-				panic("task failed")
-			}
-			// Each helper holds a task until the caller has one, so
-			// the caller is sure to reach a task of its own.
-			<-callerStarted
-			time.Sleep(time.Millisecond)
-			ran.Add(1)
+	for _, onCaller := range []bool{true, false} {
+		var running, ran atomic.Int32
+		var panicked atomic.Bool
+		started := make(chan struct{})
+		got := func() (p any) {
+			defer func() { p = recover() }()
+			Each(16, 4, func(worker, i int) error {
+				running.Add(1)
+				defer running.Add(-1)
+				if (worker == 0) == onCaller && panicked.CompareAndSwap(false, true) {
+					close(started)
+					panic("task failed")
+				}
+				// Every other task waits for the panicking one, so
+				// the panicker is sure to reach a task of its own.
+				<-started
+				time.Sleep(time.Millisecond)
+				ran.Add(1)
+				return nil
+			})
 			return nil
-		})
-	}()
-	if n := running.Load(); n != 0 {
-		t.Fatalf("%d tasks still running after Each panicked", n)
+		}()
+		if got != "task failed" {
+			t.Fatalf("panic on caller=%v: recovered %v, want the task's panic", onCaller, got)
+		}
+		if n := running.Load(); n != 0 {
+			t.Fatalf("panic on caller=%v: %d tasks still running after Each panicked", onCaller, n)
+		}
+		if n := ran.Load(); n != 15 {
+			t.Fatalf("panic on caller=%v: the other workers ran %d tasks, want the 15 the panicker did not", onCaller, n)
+		}
 	}
-	if n := ran.Load(); n != 15 {
-		t.Fatalf("helpers ran %d tasks, want the 15 the caller did not", n)
+}
+
+// A burst of concurrent wide fan-outs starts the helpers it needs, and
+// afterwards at most GOMAXPROCS of them stay parked.
+func TestEachParksAtMostGOMAXPROCSHelpers(t *testing.T) {
+	var wg sync.WaitGroup
+	for c := 0; c < 8; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			Each(64, 64, func(_, _ int) error {
+				time.Sleep(100 * time.Microsecond)
+				return nil
+			})
+		}()
+	}
+	wg.Wait()
+	idle.Lock()
+	parked := len(idle.helpers)
+	idle.Unlock()
+	if procs := runtime.GOMAXPROCS(0); parked > procs {
+		t.Fatalf("%d helpers parked after the burst, want at most GOMAXPROCS = %d", parked, procs)
 	}
 }
 

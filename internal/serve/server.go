@@ -333,8 +333,10 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 
 // putReport is the service's one report-write path: reserve an ID,
 // encode the body that carries it, persist the body under it — two WAL
-// records per report. Store errors come back prefixed with the step
-// that failed, encode errors as they are.
+// records per report and one fsync, shared with every other write in
+// flight. The ID reaches the disk with the body, before the response
+// can publish it. Store errors come back prefixed with the step that
+// failed, encode errors as they are.
 func putReport(st *store.Store, kind string, seed uint64, encode func(id string) ([]byte, error)) (string, []byte, error) {
 	id, err := st.ReserveReportID()
 	if err != nil {

@@ -9,8 +9,16 @@
 // give us, directly on the filesystem:
 //
 //   - every mutation is appended to a CRC-framed write-ahead log
-//     (wal.log) and fsynced before the call returns,
-//   - reads are served from an in-memory image of the tables,
+//     (wal.log) and fsynced before the call returns; writers in flight
+//     together share one fsync (group commit), which runs without the
+//     store's lock held,
+//   - reads are served from an in-memory image of the tables, and a row
+//     joins the image only once its record is durable, so a reader
+//     never waits on the disk and never sees a row a crash could lose,
+//   - a report costs one fsync: ReserveReportID writes its counter
+//     record without syncing, and the sync PutReportWithID waits for
+//     covers it, since the log is one append-only file — an ID is on
+//     disk before the caller can publish it,
 //   - Checkpoint folds the log into a snapshot (snapshot.json, written
 //     atomically via rename) and truncates the log,
 //   - Open replays snapshot + log, discarding a torn tail record, runs
@@ -26,6 +34,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -90,7 +99,15 @@ type Store struct {
 	nextRep   uint64
 	recovered []string
 	closed    bool
-	noSync    bool
+	// pending holds the records written to the WAL whose sync has not
+	// been seen yet, in WAL order. Their counters have moved already;
+	// their rows join the image, in that order, once a sync covers them.
+	pending []pendingRecord
+}
+
+type pendingRecord struct {
+	ticket uint64
+	rec    record
 }
 
 // Options tune Open.
@@ -139,7 +156,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		dir:     dir,
 		jobs:    make(map[string]Job),
 		reports: make(map[string]Report),
-		noSync:  opts.NoSync,
 	}
 	snap, err := readSnapshot(filepath.Join(dir, snapshotFile))
 	if err != nil {
@@ -187,7 +203,7 @@ func Open(dir string, opts Options) (*Store, error) {
 }
 
 // recover marks every non-terminal job failed: the process that owned it
-// is gone.
+// is gone. The rows share one sync.
 func (s *Store) recover() error {
 	ids := make([]string, 0, len(s.jobs))
 	for id, j := range s.jobs {
@@ -196,15 +212,23 @@ func (s *Store) recover() error {
 		}
 	}
 	sort.Strings(ids)
+	s.mu.Lock()
+	var ticket uint64
 	for _, id := range ids {
 		j := s.jobs[id]
 		j.State = JobFailed
 		j.Error = "interrupted by server restart"
-		if err := s.putJob(j); err != nil {
+		var err error
+		if ticket, err = s.write(record{Job: &j}); err != nil {
+			s.mu.Unlock()
 			return err
 		}
-		s.recovered = append(s.recovered, id)
 	}
+	s.mu.Unlock()
+	if err := s.commit(ticket); err != nil {
+		return err
+	}
+	s.recovered = ids
 	return nil
 }
 
@@ -212,54 +236,106 @@ func (s *Store) recover() error {
 // ID order.
 func (s *Store) Recovered() []string { return append([]string(nil), s.recovered...) }
 
-// apply upserts a replayed record into the in-memory image.
+// apply upserts a durable record into the in-memory image.
 func (s *Store) apply(rec record) {
 	if rec.Job != nil {
 		s.jobs[rec.Job.ID] = *rec.Job
-		if rec.Job.Seq > s.nextJob {
-			s.nextJob = rec.Job.Seq
-		}
 	}
 	if rec.Report != nil {
 		s.reports[rec.Report.ID] = *rec.Report
-		if rec.Report.Seq > s.nextRep {
-			s.nextRep = rec.Report.Seq
-		}
 	}
-	if rec.NextJob > s.nextJob {
-		s.nextJob = rec.NextJob
-	}
-	if rec.NextRep > s.nextRep {
-		s.nextRep = rec.NextRep
-	}
+	s.advance(rec)
 }
 
-// putJob writes the row to the WAL and the in-memory image. Caller holds mu.
-func (s *Store) putJob(j Job) error {
-	if err := s.wal.append(record{Job: &j}); err != nil {
+// advance moves the counters past a record's rows and counter fields,
+// so no ID it holds is issued again.
+func (s *Store) advance(rec record) {
+	if rec.Job != nil {
+		s.nextJob = max(s.nextJob, rec.Job.Seq)
+	}
+	if rec.Report != nil {
+		s.nextRep = max(s.nextRep, rec.Report.Seq)
+	}
+	s.nextJob = max(s.nextJob, rec.NextJob)
+	s.nextRep = max(s.nextRep, rec.NextRep)
+}
+
+// Every mutation takes the same two steps. Under mu, write appends the
+// record to the WAL, moves the counters past it and queues its row;
+// then, with mu released, commit waits for a sync to cover the record
+// and applies every queued row through it. Holding mu only for the
+// append keeps both the fsync and other writers' waits off the readers'
+// lock, and applying in WAL order keeps the image equal to what replay
+// would build.
+
+// write appends rec and returns its ticket. Caller holds mu.
+func (s *Store) write(rec record) (uint64, error) {
+	ticket, err := s.wal.append(rec)
+	if err != nil {
+		return 0, err
+	}
+	s.advance(rec)
+	s.pending = append(s.pending, pendingRecord{ticket, rec})
+	return ticket, nil
+}
+
+// commit waits until the record with the given ticket is durable and
+// applies it and every queued record before it. Caller does not hold mu.
+func (s *Store) commit(ticket uint64) error {
+	if err := s.wal.waitDurable(ticket); err != nil {
 		return err
 	}
-	s.jobs[j.ID] = j
+	s.mu.Lock()
+	s.applyThrough(ticket)
+	s.mu.Unlock()
 	return nil
+}
+
+// applyThrough applies the queued records with tickets up to ticket.
+// Caller holds mu.
+func (s *Store) applyThrough(ticket uint64) {
+	i := 0
+	for ; i < len(s.pending) && s.pending[i].ticket <= ticket; i++ {
+		s.apply(s.pending[i].rec)
+	}
+	n := copy(s.pending, s.pending[i:])
+	clear(s.pending[n:])
+	s.pending = s.pending[:n]
+}
+
+// latestJob is a job row as the WAL last wrote it, durable or not: a
+// state change must build on its predecessor, which may still be
+// waiting for its sync. Caller holds mu.
+func (s *Store) latestJob(id string) (Job, bool) {
+	for i := len(s.pending) - 1; i >= 0; i-- {
+		if j := s.pending[i].rec.Job; j != nil && j.ID == id {
+			return *j, true
+		}
+	}
+	j, ok := s.jobs[id]
+	return j, ok
 }
 
 // CreateJob allocates the next job ID and persists the row as queued.
 func (s *Store) CreateJob(kind string, spec json.RawMessage) (Job, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed {
+		s.mu.Unlock()
 		return Job{}, ErrClosed
 	}
-	s.nextJob++
 	j := Job{
-		ID:    rowID("job-", s.nextJob),
+		ID:    rowID("job-", s.nextJob+1),
 		Kind:  kind,
 		Spec:  append(json.RawMessage(nil), spec...),
 		State: JobQueued,
-		Seq:   s.nextJob,
+		Seq:   s.nextJob + 1,
 	}
-	if err := s.putJob(j); err != nil {
-		s.nextJob--
+	ticket, err := s.write(record{Job: &j})
+	s.mu.Unlock()
+	if err == nil {
+		err = s.commit(ticket)
+	}
+	if err != nil {
 		return Job{}, err
 	}
 	return j, nil
@@ -275,12 +351,13 @@ var ErrNotFound = errors.New("store: not found")
 // message (failed/canceled) or the produced report ID (succeeded).
 func (s *Store) SetJobState(id string, st JobState, errMsg, reportID string) error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed {
+		s.mu.Unlock()
 		return ErrClosed
 	}
-	j, ok := s.jobs[id]
+	j, ok := s.latestJob(id)
 	if !ok {
+		s.mu.Unlock()
 		return fmt.Errorf("%w: job %s", ErrNotFound, id)
 	}
 	j.State = st
@@ -288,7 +365,12 @@ func (s *Store) SetJobState(id string, st JobState, errMsg, reportID string) err
 	if reportID != "" {
 		j.ReportID = reportID
 	}
-	return s.putJob(j)
+	ticket, err := s.write(record{Job: &j})
+	s.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return s.commit(ticket)
 }
 
 // Job returns one job row.
@@ -312,17 +394,17 @@ func (s *Store) Jobs() []Job {
 }
 
 // ReserveReportID atomically allocates a report ID without writing a
-// row; the caller follows up with PutReportWithID. The reservation is
-// persisted via the counter record so a crash cannot reissue the ID.
+// row; the caller follows up with PutReportWithID. The reservation is a
+// counter record in the WAL, written but not synced: the sync that
+// PutReportWithID waits for covers it too, so the ID is on disk before
+// the caller can publish it, and a crash cannot reissue it.
 func (s *Store) ReserveReportID() (string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return "", ErrClosed
 	}
-	s.nextRep++
-	if err := s.wal.append(record{NextRep: s.nextRep}); err != nil {
-		s.nextRep--
+	if _, err := s.write(record{NextRep: s.nextRep + 1}); err != nil {
 		return "", err
 	}
 	return rowID("rep-", s.nextRep), nil
@@ -343,13 +425,14 @@ func rowID(prefix string, seq uint64) string {
 // the same sequence number would store a row beside the real one.
 func (s *Store) PutReportWithID(id, kind string, seed uint64, body json.RawMessage) (Report, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed {
+		s.mu.Unlock()
 		return Report{}, ErrClosed
 	}
 	digits, ok := strings.CutPrefix(id, "rep-")
 	seq, err := strconv.ParseUint(digits, 10, 64)
 	if !ok || err != nil || rowID("rep-", seq) != id {
+		s.mu.Unlock()
 		return Report{}, fmt.Errorf("store: malformed report ID %q", id)
 	}
 	r := Report{
@@ -359,13 +442,16 @@ func (s *Store) PutReportWithID(id, kind string, seed uint64, body json.RawMessa
 		Body: append(json.RawMessage(nil), body...),
 		Seq:  seq,
 	}
-	rec := record{Report: &r}
-	if err := s.wal.append(rec); err != nil {
+	// As on replay, the counter moves past the ID as the record is
+	// written, so ReserveReportID never reissues a written ID.
+	ticket, err := s.write(record{Report: &r})
+	s.mu.Unlock()
+	if err == nil {
+		err = s.commit(ticket)
+	}
+	if err != nil {
 		return Report{}, err
 	}
-	// As on replay: the row lands and the counter moves past its ID, so
-	// ReserveReportID never reissues a written ID.
-	s.apply(rec)
 	return r, nil
 }
 
@@ -399,7 +485,14 @@ func (s *Store) Checkpoint() error {
 	return s.checkpointLocked()
 }
 
+// checkpointLocked first makes every written record durable and applies
+// the ones still queued: a row between its write and its apply would
+// otherwise be truncated out of the WAL without reaching the snapshot.
 func (s *Store) checkpointLocked() error {
+	if err := s.wal.waitDurable(s.wal.written.Load()); err != nil {
+		return err
+	}
+	s.applyThrough(math.MaxUint64)
 	snap := snapshot{
 		Schema:  schemaVersion,
 		NextJob: s.nextJob,
@@ -416,10 +509,7 @@ func (s *Store) checkpointLocked() error {
 	if err := writeSnapshot(filepath.Join(s.dir, snapshotFile), &snap); err != nil {
 		return err
 	}
-	if s.wal != nil {
-		return s.wal.truncate()
-	}
-	return nil
+	return s.wal.truncate()
 }
 
 // Close checkpoints and releases the store. Further mutations fail with

@@ -8,6 +8,8 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"sync"
+	"sync/atomic"
 )
 
 const (
@@ -28,39 +30,122 @@ const (
 // Replay stops at the first frame that is truncated or fails its CRC —
 // a torn tail from a crash mid-append — and truncates the file there, so
 // the next append continues from a clean boundary.
+//
+// Appends and syncs are decoupled (group commit). append writes a frame
+// and hands back a ticket, the count of records written through it;
+// waitDurable blocks until a sync covers the ticket. The first waiter
+// with no sync in flight leads: it notes how many records are written,
+// syncs without holding any lock the appenders take, and wakes every
+// waiter that sync covered. A waiter it did not cover leads the next
+// round. Because the file is append-only, one sync makes every earlier
+// record durable, whoever wrote it.
+//
+// The first failed write or sync poisons the log: every waiter it did
+// not reach and every later append gets that error, and the file is
+// never synced again (after a failed fsync the kernel may have dropped
+// the dirty pages, so a retry that succeeds proves nothing).
 type wal struct {
 	f    *os.File
 	sync bool
+	// written counts the records appended since open. Appenders bump it
+	// under Store.mu; a sync leader reads it holding nothing.
+	written atomic.Uint64
+
+	mu      sync.Mutex
+	synced  sync.Cond // broadcast whenever a sync round ends
+	durable uint64    // records known to be on disk
+	syncing bool      // a leader is inside syncFile
+	err     error     // the first write or sync failure
 }
+
+// syncFile is the log's one way to the disk. Tests swap it to count,
+// stall or fail syncs.
+var syncFile = (*os.File).Sync
 
 func openWAL(path string, sync bool) (*wal, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("store: opening wal: %w", err)
 	}
-	return &wal{f: f, sync: sync}, nil
+	w := &wal{f: f, sync: sync}
+	w.synced.L = &w.mu
+	return w, nil
 }
 
-func (w *wal) append(rec record) error {
+// append writes one framed record and returns its ticket. The caller
+// holds Store.mu, so tickets number the records in file order.
+func (w *wal) append(rec record) (uint64, error) {
+	if err := w.failure(); err != nil {
+		return 0, err
+	}
 	payload, err := json.Marshal(rec)
 	if err != nil {
-		return fmt.Errorf("store: encoding wal record: %w", err)
+		return 0, fmt.Errorf("store: encoding wal record: %w", err)
 	}
 	buf := make([]byte, 8+len(payload))
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
 	copy(buf[8:], payload)
 	if _, err := w.f.Write(buf); err != nil {
-		return fmt.Errorf("store: appending wal record: %w", err)
+		// A short write leaves a torn frame that replay would stop at,
+		// hiding every record appended after it.
+		return 0, w.fail(fmt.Errorf("store: appending wal record: %w", err))
 	}
-	if w.sync {
-		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("store: syncing wal: %w", err)
+	return w.written.Add(1), nil
+}
+
+// waitDurable returns once the record with the given ticket is on disk,
+// leading sync rounds while none is in flight. Without sync a written
+// record is as durable as it gets.
+func (w *wal) waitDurable(ticket uint64) error {
+	if !w.sync {
+		return nil
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for w.durable < ticket {
+		switch {
+		case w.err != nil:
+			return w.err
+		case w.syncing:
+			w.synced.Wait()
+		default:
+			through := w.written.Load()
+			w.syncing = true
+			w.mu.Unlock()
+			err := syncFile(w.f)
+			w.mu.Lock()
+			w.syncing = false
+			if err != nil {
+				w.err = fmt.Errorf("store: syncing wal: %w", err)
+			} else {
+				w.durable = through
+			}
+			w.synced.Broadcast()
 		}
 	}
 	return nil
 }
 
+// failure is the error that poisoned the log, if any.
+func (w *wal) failure() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.err
+}
+
+// fail poisons the log with err, keeping an earlier failure.
+func (w *wal) fail(err error) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.err == nil {
+		w.err = err
+	}
+	return w.err
+}
+
+// truncate empties the log. The caller holds Store.mu and has waited for
+// every written record to be durable, so no sync round is in flight.
 func (w *wal) truncate() error {
 	if err := w.f.Truncate(0); err != nil {
 		return fmt.Errorf("store: truncating wal: %w", err)
@@ -69,7 +154,9 @@ func (w *wal) truncate() error {
 		return fmt.Errorf("store: rewinding wal: %w", err)
 	}
 	if w.sync {
-		return w.f.Sync()
+		if err := syncFile(w.f); err != nil {
+			return w.fail(fmt.Errorf("store: syncing wal: %w", err))
+		}
 	}
 	return nil
 }
