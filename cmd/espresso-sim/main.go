@@ -158,7 +158,9 @@ func main() {
 	x := newExecutor(c)
 	rng := rand.New(rand.NewSource(1))
 	dataC := c
-	total := dataC.TotalGPUs()
+	// Every tensor's gradients are drawn into the same buffers, one per
+	// GPU, replaced only when the membership changes.
+	grads := newGrads(dataC.TotalGPUs(), *scale)
 	seenEvents := 0
 	for it := 0; it < *iters; it++ {
 		if runner != nil {
@@ -192,24 +194,21 @@ func main() {
 				seenEvents = len(events)
 				dataC = runner.ActiveCluster()
 				x = newExecutor(dataC)
-				total = dataC.TotalGPUs()
+				grads = newGrads(dataC.TotalGPUs(), *scale)
 				s = runner.Strategy
 			}
 		}
 		for ti := range m.Tensors {
-			n := *scale
-			grads := make([][]float32, total)
-			for g := range grads {
-				grads[g] = make([]float32, n)
-				for j := range grads[g] {
-					grads[g][j] = float32(rng.NormFloat64())
+			for _, grad := range grads {
+				for j := range grad {
+					grad[j] = float32(rng.NormFloat64())
 				}
 			}
 			out, err := x.SyncTensor(m.Tensors[ti].Name, grads, s.PerTensor[ti], uint64(it))
 			if err != nil {
 				fatal(fmt.Errorf("iteration %d tensor %s: %w", it, m.Tensors[ti].Name, err))
 			}
-			for g := 1; g < total; g++ {
+			for g := 1; g < len(out); g++ {
 				for j := range out[g] {
 					if out[g][j] != out[0][j] {
 						fatal(fmt.Errorf("iteration %d tensor %s: GPUs 0 and %d disagree at element %d",
@@ -219,7 +218,7 @@ func main() {
 			}
 		}
 		fmt.Printf("iteration %d: %d tensors synchronized, all %d GPUs agree\n",
-			it, m.NumTensors(), total)
+			it, m.NumTensors(), len(grads))
 	}
 
 	if *gantt {
@@ -278,4 +277,13 @@ func writeChaosReport(runner *chaos.Runner, path string) {
 
 func fatal(err error) {
 	logx.Fatal(log, err.Error())
+}
+
+// newGrads allocates one n-element gradient buffer per GPU.
+func newGrads(gpus, n int) [][]float32 {
+	grads := make([][]float32, gpus)
+	for g := range grads {
+		grads[g] = make([]float32, n)
+	}
+	return grads
 }

@@ -25,14 +25,24 @@ type Key struct {
 // the lock, so it must not overlap another Compress, Residual or Reset
 // that reaches the same key.
 type ErrorFeedback struct {
-	c   Compressor
-	mu  sync.Mutex // guards the map, not the residuals in it
-	mem map[Key][]float32
+	c Compressor
+	// sparse is set when c is one of this package's sparsifiers, whose
+	// reconstruction is the compressed input at the carried indices and
+	// zero elsewhere: the residual is then corrected in place and only
+	// the carried entries are subtracted, without a Decompress.
+	sparse bool
+	mu     sync.Mutex // guards the map, not the residuals in it
+	mem    map[Key][]float32
 }
 
 // NewErrorFeedback wraps c.
 func NewErrorFeedback(c Compressor) *ErrorFeedback {
-	return &ErrorFeedback{c: c, mem: make(map[Key][]float32)}
+	ef := &ErrorFeedback{c: c, mem: make(map[Key][]float32)}
+	switch c.(type) {
+	case randomK, topK:
+		ef.sparse = true
+	}
+	return ef
 }
 
 // Compressor returns the wrapped compressor.
@@ -47,16 +57,36 @@ func (ef *ErrorFeedback) Compress(key Key, grad []float32, seed uint64) (*Payloa
 
 // CompressInto is Compress writing the payload into dst (see
 // Compressor.CompressInto). The residual is allocated on a key's first
-// use and updated in place from then on, and the corrected gradient and
-// its reconstruction live in pooled scratch: the steady state allocates
-// nothing. The residual is written only after Decompress succeeded, so an
-// error leaves it as it was.
+// use and updated in place from then on: the steady state allocates
+// nothing.
+//
+// For this package's sparsifiers the residual itself becomes the
+// corrected gradient, is compressed where it lies, and loses the values
+// the payload carries. Any other compressor is applied atomically: the
+// corrected gradient and its reconstruction live in pooled scratch, and
+// the residual is written only after Decompress succeeded, so an error
+// leaves it as it was.
 func (ef *ErrorFeedback) CompressInto(dst *Payload, key Key, grad []float32, seed uint64) (*Payload, error) {
 	ef.mu.Lock()
 	residual, seen := ef.mem[key]
 	ef.mu.Unlock()
 	if seen && len(residual) != len(grad) {
 		return nil, fmt.Errorf("compress: residual for %v has %d elements, gradient has %d", key, len(residual), len(grad))
+	}
+	if ef.sparse {
+		if !seen {
+			residual = slices.Clone(grad)
+			ef.store(key, residual)
+		} else {
+			for i, g := range grad {
+				residual[i] = g + residual[i]
+			}
+		}
+		p := ef.c.CompressInto(dst, residual, seed)
+		for i, j := range p.Indices {
+			residual[j] -= p.Values[i]
+		}
+		return p, nil
 	}
 
 	sc := kernelPool.Get().(*kernelScratch)
@@ -77,14 +107,19 @@ func (ef *ErrorFeedback) CompressInto(dst *Payload, key Key, grad []float32, see
 	}
 	if !seen {
 		residual = make([]float32, len(grad))
-		ef.mu.Lock()
-		ef.mem[key] = residual
-		ef.mu.Unlock()
+		ef.store(key, residual)
 	}
 	for i, r := range recon {
 		residual[i] = corrected[i] - r
 	}
 	return p, nil
+}
+
+// store records key's newly allocated residual.
+func (ef *ErrorFeedback) store(key Key, residual []float32) {
+	ef.mu.Lock()
+	ef.mem[key] = residual
+	ef.mu.Unlock()
 }
 
 // Residual returns a copy of the stored residual for key, or nil.

@@ -276,6 +276,17 @@ func FuzzSelectTopK(f *testing.F) {
 	f.Add([]byte{0, 0, 128, 63}, uint16(1))                                                // [1]
 	f.Add([]byte{0, 0, 192, 127, 0, 0, 128, 127, 0, 0, 128, 255, 0, 0, 0, 128}, uint16(2)) // [NaN +Inf -Inf -0]
 	f.Add(binary.LittleEndian.AppendUint32(make([]byte, 36), 0xffc00001), uint16(3))       // nine zeros and a -NaN
+	// The bucket holding rank k holds ties at the k-th place: 1.5625
+	// shares the top digit of the three ±1.5s, one or two of which make
+	// the cut; and in the forty, five of the twenty ±1s do.
+	ties := floatBytes(1.5, 3, 1.5625, -1.5, 1.5, 0.25)
+	f.Add(ties, uint16(2)) // k = 3
+	f.Add(ties, uint16(3)) // k = 4
+	var forty []byte
+	for range 10 {
+		forty = append(forty, floatBytes(2, -1, 1, 0.5)...)
+	}
+	f.Add(forty, uint16(14)) // k = 15
 	f.Fuzz(func(t *testing.T, data []byte, kSeed uint16) {
 		x := make([]float32, len(data)/4)
 		for i := range x {
@@ -292,6 +303,15 @@ func FuzzSelectTopK(f *testing.F) {
 			}
 		}
 	})
+}
+
+// floatBytes is xs as FuzzSelectTopK reads a vector.
+func floatBytes(xs ...float32) []byte {
+	var b []byte
+	for _, x := range xs {
+		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(x))
+	}
+	return b
 }
 
 // --- error feedback: the in-place residual and its contract ---

@@ -8,11 +8,17 @@
 // The executor maintains one state per GPU: the dense region it holds, or
 // the compressed payloads in flight. Executing any valid option ends with
 // every GPU holding the full aggregated gradient.
+//
+// A result lives in the executor's recycled buffers: it is valid until
+// the next SyncTensor on the same executor, which may overwrite it, and
+// is never touched by a call on another executor. A caller that keeps
+// results across calls clones them.
 package ddl
 
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"espresso/internal/cluster"
 	"espresso/internal/compress"
@@ -52,6 +58,13 @@ type Executor struct {
 	// backing arrays are safe to reuse across steps and tensors.
 	payloadScratch []*compress.Payload
 
+	// results recycles the per-GPU result buffers (a *[][]float32, one
+	// buffer per GPU): a call takes a set, returns it to the caller and
+	// puts it back, so the next call on this executor may reuse it. A
+	// pool rather than a field, like the kernels' scratch: an idle
+	// executor holds no results once the collector has emptied it.
+	results sync.Pool
+
 	traffic Traffic
 
 	// call is the SyncTensor in progress, which the per-GPU tasks read.
@@ -66,6 +79,7 @@ type Executor struct {
 type syncCall struct {
 	name    string
 	grads   [][]float32
+	out     [][]float32 // the recycled result buffers, one per GPU
 	states  []nodeState
 	seed    uint64
 	useEF   bool // the compression in progress is the tensor's first
@@ -74,12 +88,13 @@ type syncCall struct {
 
 // parallelGrain is the tensor length below which a call runs on the
 // caller alone. BenchmarkSyncTensor on a 2-core box, DGC(0.01) on the
-// 2x2 cluster, median of six interleaved runs, fanned out ÷ caller
-// alone: 0.95 at 2^11 and 0.98 at 2^12 elements per GPU (fan-out won 4
-// and 3 of 6: a tie), then 0.78, 0.72 and 0.65 at 2^13, 2^14 and 2^15
-// (won 6 of 6 each). Communication steps always run on the caller: they
-// stream memory, and giving each group of a 2x2 cluster its own core
-// bought nothing. A var only so the benchmark can move it.
+// 2x2 cluster, results in recycled buffers, fanned out ÷ caller alone:
+// 0.97 at 2^11 and 0.99 at 2^12 elements per GPU (fan-out won 3 and 4
+// of 6: a tie), 0.94 at 2^13 (won 11 of 16), then 0.83 and 0.76 at
+// 2^14 and 2^15 (won 6 of 6 each); medians of interleaved runs.
+// Communication steps always run on the caller: they stream memory, and
+// giving each group of a 2x2 cluster its own core bought nothing. A var
+// only so the benchmark can move it.
 var parallelGrain = 1 << 13
 
 // PhaseBytes splits one communication domain's wire bytes by payload
@@ -137,9 +152,10 @@ func NewExecutor(c *cluster.Cluster, spec compress.Spec) (*Executor, error) {
 
 // nodeState is one GPU's view of a tensor mid-synchronization. buf is the
 // GPU's private full-length copy of the tensor, made once per SyncTensor
-// and returned as its result; whatever dense region [lo, hi) the GPU
-// holds lives at buf[lo:hi], so scattering, gathering and decompressing
-// move the bounds and never allocate.
+// in its recycled result buffer and returned as its result; whatever
+// dense region [lo, hi) the GPU holds lives at buf[lo:hi], so
+// scattering, gathering and decompressing move the bounds and never
+// allocate.
 type nodeState struct {
 	active     bool
 	lo, hi     int // dense element region currently held
@@ -155,6 +171,10 @@ func (s *nodeState) dense() []float32 { return s.buf[s.lo:s.hi] }
 // gradient (len TotalGPUs, equal lengths); the result holds each GPU's
 // aggregated gradient after executing opt. seed varies randomized
 // compression across iterations; name keys error-feedback state.
+//
+// The result is the executor's: it stays valid until the next SyncTensor
+// on x, which may reuse its buffers, and calls on other executors never
+// touch it. grads is only read.
 //
 // The GPUs run side by side: their copies, compressions and
 // decompressions fan out over one worker per CPU, each step joining
@@ -175,8 +195,14 @@ func (x *Executor) SyncTensor(name string, grads [][]float32, opt strategy.Optio
 			return nil, fmt.Errorf("ddl: GPU %d gradient has %d elements, GPU 0 has %d", g, len(grads[g]), n)
 		}
 	}
+	res, _ := x.results.Get().(*[][]float32)
+	if res == nil {
+		res = &[][]float32{}
+	}
+	*res = slices.Grow((*res)[:0], total)[:total]
+	defer x.results.Put(res)
 	c := &x.call
-	*c = syncCall{name: name, grads: grads, states: slices.Grow(c.states[:0], total)[:total], seed: seed, workers: 1}
+	*c = syncCall{name: name, grads: grads, out: *res, states: slices.Grow(c.states[:0], total)[:total], seed: seed, workers: 1}
 	defer x.endCall()
 	if n >= parallelGrain {
 		c.workers = par.Workers(0)
@@ -205,16 +231,14 @@ func (x *Executor) SyncTensor(name string, grads [][]float32, opt strategy.Optio
 		}
 	}
 
-	out := make([][]float32, total)
 	for g := range states {
 		s := &states[g]
 		if !s.active || s.compressed || s.lo != 0 || s.hi != n {
 			return nil, fmt.Errorf("ddl: %s: GPU %d ended active=%v compressed=%v region [%d,%d), want dense [0,%d)",
 				name, g, s.active, s.compressed, s.lo, s.hi, n)
 		}
-		out[g] = s.buf
 	}
-	return out, nil
+	return *res, nil
 }
 
 // endCall drops the finished call's references to the caller's and the
@@ -224,10 +248,12 @@ func (x *Executor) endCall() {
 	x.call = syncCall{states: x.call.states[:0]}
 }
 
-// copyIn gives GPU g its private copy of its gradient.
+// copyIn gives GPU g its private copy of its gradient, in its recycled
+// result buffer (grown when the tensor outgrew it).
 func (x *Executor) copyIn(_, g int) error {
 	c := &x.call
-	c.states[g] = nodeState{active: true, hi: len(c.grads[g]), buf: append([]float32(nil), c.grads[g]...)}
+	c.out[g] = append(c.out[g][:0], c.grads[g]...)
+	c.states[g] = nodeState{active: true, hi: len(c.grads[g]), buf: c.out[g]}
 	return nil
 }
 

@@ -51,7 +51,7 @@ func TestSyncTensorIdenticalAtEveryParallelism(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%v / %v at GOMAXPROCS %d: %v", spec, opt, procs, err)
 						}
-						outs = append(outs, out)
+						outs = append(outs, cloneGrads(out)) // the next call may reuse out
 					}
 				})
 				var metrics bytes.Buffer
